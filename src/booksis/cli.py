@@ -24,13 +24,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import canonical, deformed, invariants as invariants_mod, oracle, sis
-from .canonical import BookSystem, CanonicalState, IntegrationConstants
+from .canonical import BookSystem, CanonicalState
 from .deformed import DeformedBookSystem, DeformedSisSystem
 from .errors import (
     BooksisError,
@@ -55,39 +56,6 @@ EXIT_PASS = 0
 EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
-
-_MODELS = (
-    "book-canonical",
-    "sis",
-    "sis-constant",
-    "moments",
-    "deformed-book",
-    "deformed-sis",
-)
-
-_CHART_FOR_MODEL = {
-    "book-canonical": "xy",
-    "sis": "qp",
-    "sis-constant": "qp",
-    "moments": "moments",
-    "deformed-book": "xy",
-    "deformed-sis": "qp",
-}
-
-_COEFFS_FOR_MODEL = {
-    "book-canonical": ("bA", "bB"),
-    "sis": ("rho0", "b"),
-    "sis-constant": ("rho0",),
-    "moments": ("rho0",),
-    "deformed-book": ("bA", "bB"),
-    "deformed-sis": ("rho0", "b"),
-}
-
-_CHART_FIELDS = {
-    "xy": ("x", "y"),
-    "qp": ("q", "p"),
-    "moments": ("mean", "variance"),
-}
 
 _RESIDUAL_DELTA = 1e-4
 
@@ -131,8 +99,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError(f"unknown scenario fields: {sorted(unknown)}")
 
     model = data.get("model")
-    if model not in _MODELS:
-        raise ScenarioError(f"model must be one of {_MODELS}, got {model!r}")
+    if model not in _MODEL_TABLE:
+        raise ScenarioError(f"model must be one of {tuple(_MODEL_TABLE)}, got {model!r}")
+    spec = _MODEL_TABLE[model]
 
     grid = data.get("grid")
     if not isinstance(grid, dict):
@@ -148,10 +117,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     coeffs = data.get("coefficients")
     if not isinstance(coeffs, dict):
         raise ScenarioError("coefficients must be an object of expression texts")
-    required = _COEFFS_FOR_MODEL[model]
-    optional = ("b",) if model == "sis-constant" else ()
+    required = spec.coefficients
     for key in coeffs:
-        if key not in required and key not in optional:
+        if key not in required and key not in spec.optional:
             raise ScenarioError(f"coefficient {key!r} not used by model {model!r}")
     for key in required:
         if key not in coeffs:
@@ -160,7 +128,7 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError(f"coefficient {key!r} must be expression text")
 
     z = _as_number(data.get("z", 0.0), "z")
-    if model not in ("deformed-book", "deformed-sis") and z != 0.0:
+    if not spec.deformed and z != 0.0:
         raise ScenarioError(f"model {model!r} is classical; z must be 0")
 
     a = _as_number(data.get("a", t_start), "a")
@@ -169,17 +137,16 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             "base point a must equal grid.t_start (constants are fitted at the "
             f"initial time); got a={a!r}, t_start={t_start!r}"
         )
-    if model in ("sis-constant", "moments") and a != 0.0:
+    if spec.constant_rate and a != 0.0:
         raise ScenarioError(f"model {model!r} requires a == 0 (closed form is pinned there)")
 
     initial = data.get("initial")
     if not isinstance(initial, dict):
         raise ScenarioError("initial must be an object with chart/values")
     chart = initial.get("chart")
-    expected_chart = _CHART_FOR_MODEL[model]
-    if chart != expected_chart:
+    if chart != spec.chart:
         raise ScenarioError(
-            f"model {model!r} uses chart {expected_chart!r}, got {chart!r}"
+            f"model {model!r} uses chart {spec.chart!r}, got {chart!r}"
         )
     values = initial.get("values")
     if not isinstance(values, list) or len(values) != 2:
@@ -229,18 +196,126 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(data, name=path.stem)
 
 
-# --- model adapters --------------------------------------------------------------
+# --- charts and models ---------------------------------------------------------------
+#
+# The six models are one book system -- a dilation coefficient, a
+# translation coefficient and a deformation z -- read in one of three
+# charts.  The chart alone decides the field names, the companion image,
+# physicality and the map of an initial state to canonical (x, y), where
+# every model fits its constants (at z = 0 the deformed fit reads off
+# (x0, y0) exactly).  The model decides the system object, the closed form
+# and the right-hand side.  Table entries reach library functions through
+# their module at call time, never through a reference taken at import.
 
-class ModelAdapter:
-    """Uniform view of one scenario model: closed-form evaluator,
-    right-hand side, companion-chart image, physicality flag."""
+@dataclass(frozen=True)
+class _Chart:
+    fields: tuple[str, str]
+    state: type
+    companion: str
+    to_companion: Callable  # state object -> companion-chart state object
+    to_xy: Callable[[tuple[float, float]], CanonicalState]  # initial values
+    # the state is physical when its companion image (True) or the state
+    # itself (False) has two positive entries
+    physical_in_companion: bool
 
-    companion_fields: tuple[str, str] | None = None
+
+def _moments_to_xy(values: tuple[float, float]) -> CanonicalState:
+    if values[1] <= 0.0:
+        raise ScenarioError("moments requires a positive initial variance")
+    return sis.to_canonical(sis.state_from_moments(MomentState(*values)))
+
+
+_CHARTS = {
+    "xy": _Chart(("x", "y"), CanonicalState, "qp",
+                 to_companion=lambda s: sis.from_canonical(s),
+                 to_xy=lambda values: CanonicalState(*values),
+                 physical_in_companion=True),
+    "qp": _Chart(("q", "p"), EpidemicState, "xy",
+                 to_companion=lambda s: sis.to_canonical(s),
+                 to_xy=lambda values: sis.to_canonical(EpidemicState(*values)),
+                 physical_in_companion=False),
+    "moments": _Chart(("mean", "variance"), MomentState, "qp",
+                      to_companion=lambda s: sis.state_from_moments(s),
+                      to_xy=_moments_to_xy,
+                      physical_in_companion=False),
+}
+
+
+@dataclass(frozen=True)
+class _ModelSpec:
+    chart: str
+    coefficients: tuple[str, ...]  # dilation and translation keys, in that order
+    system: Callable  # book view (a DeformedBookSystem) -> the model's system
+    evaluator: Callable  # (model, quadrature tolerance) -> closed form of t
+    rhs: Callable  # (model, t, state object) -> right-hand side
+    optional: tuple[str, ...] = ()
+    deformed: bool = False  # takes z and has a validity window
+    constant_rate: bool = False  # rho0 read once at build, b == 1 and a == 0
+
+
+def _sis_view(book: DeformedBookSystem) -> SisSystem:
+    return SisSystem(book.base.b_a, book.base.b_b, book.base.a)
+
+
+_MODEL_TABLE = {
+    "book-canonical": _ModelSpec(
+        "xy", ("bA", "bB"), system=lambda book: book.base,
+        evaluator=lambda m, tol: canonical.solution_evaluator(m.system, m.constants, tol),
+        rhs=lambda m, t, s: canonical.rhs(m.system, t, s)),
+    "sis": _ModelSpec(
+        "qp", ("rho0", "b"), system=_sis_view,
+        evaluator=lambda m, tol: sis.sis_solution_evaluator(m.system, m.constants, tol),
+        rhs=lambda m, t, s: sis.sis_rhs(m.system, t, s)),
+    "sis-constant": _ModelSpec(
+        "qp", ("rho0",), optional=("b",), system=_sis_view, constant_rate=True,
+        # explicit formula, no quadrature: the tolerance is not used
+        evaluator=lambda m, tol: lambda t: sis.sis_constant_solution(m.rate, m.constants, t),
+        rhs=lambda m, t, s: sis.sis_rhs(m.system, t, s)),
+    "moments": _ModelSpec(
+        "moments", ("rho0",), system=_sis_view, constant_rate=True,
+        evaluator=lambda m, tol: lambda t: sis.moments_from_state(
+            sis.sis_constant_solution(m.rate, m.constants, t)),
+        rhs=lambda m, t, s: sis.moment_rhs(m.rate, s)),
+    "deformed-book": _ModelSpec(
+        "xy", ("bA", "bB"), system=lambda book: book, deformed=True,
+        evaluator=lambda m, tol: deformed.deformed_solution_evaluator(
+            m.system, m.constants, tol),
+        rhs=lambda m, t, s: deformed.deformed_rhs(m.system, t, s)),
+    "deformed-sis": _ModelSpec(
+        "qp", ("rho0", "b"), deformed=True,
+        system=lambda book: DeformedSisSystem(_sis_view(book), book.z),
+        evaluator=lambda m, tol: deformed.deformed_sis_solution_evaluator(
+            m.system, m.constants, tol),
+        rhs=lambda m, t, s: deformed.deformed_sis_rhs(m.system, t, s)),
+}
+
+
+class Model:
+    """One scenario's model built from its chart and model table rows:
+    closed-form evaluator, right-hand side, companion-chart image,
+    physicality flag and validity window, all on plain state tuples."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.fields = _CHART_FIELDS[scenario.chart]
-        self.constants: IntegrationConstants
+        self.spec = spec = _MODEL_TABLE[scenario.model]
+        self.chart = _CHARTS[spec.chart]
+        self.fields = self.chart.fields
+        self.companion_fields = _CHARTS[self.chart.companion].fields
+        self._values = attrgetter(*self.fields)
+        self._companion_values = attrgetter(*self.companion_fields)
+
+        coefficients = [self._coefficient(key) for key in spec.coefficients]
+        self.rate = None
+        if spec.constant_rate:
+            self.rate = self._constant_rate(coefficients[0])
+            coefficients = [CoefficientFunction.constant(self.rate),
+                            CoefficientFunction.constant(1.0)]
+        # the model's system seen in the canonical chart
+        self.book = DeformedBookSystem(BookSystem(*coefficients, scenario.a), scenario.z)
+        self.system = spec.system(self.book)
+        self.constants = deformed.deformed_fit_constants(
+            self.book, scenario.t_start, self.chart.to_xy(scenario.initial)
+        )
 
     def _coefficient(self, key: str) -> CoefficientFunction:
         try:
@@ -248,273 +323,53 @@ class ModelAdapter:
         except ExpressionError as exc:
             raise ScenarioError(f"coefficient {key!r}: {exc}") from exc
 
-    def _constant_value(self, key: str) -> float:
-        fn = self._coefficient(key)
-        if not fn.is_constant():
+    def _constant_rate(self, rate: CoefficientFunction) -> float:
+        model, coefficients, t0 = (self.scenario.model, self.scenario.coefficients,
+                                   self.scenario.t_start)
+        if not rate.is_constant():
             raise ScenarioError(
-                f"model {self.scenario.model!r} needs a constant {key!r}, "
-                f"got {self.scenario.coefficients[key]!r}"
+                f"model {model!r} needs a constant 'rho0', got {coefficients['rho0']!r}"
             )
-        return fn(self.scenario.t_start)
+        value = rate(t0)
+        if value == 0.0:
+            raise ScenarioError(f"{model} requires rho0 != 0")
+        if "b" in coefficients:
+            b_fn = self._coefficient("b")
+            if not b_fn.is_constant() or b_fn(t0) != 1.0:
+                raise ScenarioError(f"{model} fixes b == 1")
+        return value
 
-    # hooks -------------------------------------------------------------
     def exact_evaluator(self, tol: float) -> Callable[[float], tuple[float, float]]:
-        raise NotImplementedError
+        evaluate = self.spec.evaluator(self, tol)
+        values = self._values
+        return lambda t: values(evaluate(t))
 
     def rhs(self, t: float, state: tuple[float, float]) -> tuple[float, float]:
-        raise NotImplementedError
+        return self.spec.rhs(self, t, self.chart.state(*state))
 
     def companion(self, state: tuple[float, float]) -> tuple[float, float] | None:
-        return None
-
-    def physical(self, state: tuple[float, float]) -> bool:
-        raise NotImplementedError
-
-    def validity_t_max(self, horizon: float) -> float:
-        return math.inf
-
-
-def _canonical_companion(state: tuple[float, float]):
-    try:
-        e = sis.from_canonical(CanonicalState(state[0], state[1]))
-    except (BooksisError, ValueError):
-        return None
-    return (e.q, e.p)
-
-
-def _epidemic_companion(state: tuple[float, float]):
-    try:
-        c = sis.to_canonical(EpidemicState(state[0], state[1]))
-    except (BooksisError, ValueError):
-        return None
-    return (c.x, c.y)
-
-
-class _BookModel(ModelAdapter):
-    companion_fields = ("q", "p")
-
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
-        self.system = BookSystem(self._coefficient("bA"), self._coefficient("bB"),
-                                 scenario.a)
-        self.constants = canonical.fit_constants(
-            self.system, scenario.t_start, CanonicalState(*scenario.initial)
-        )
-
-    def exact_evaluator(self, tol):
-        evaluate = canonical.solution_evaluator(self.system, self.constants, tol)
-
-        def at(t):
-            s = evaluate(t)
-            return (s.x, s.y)
-
-        return at
-
-    def rhs(self, t, state):
-        return canonical.rhs(self.system, t, CanonicalState(state[0], state[1]))
-
-    def companion(self, state):
-        return _canonical_companion(state)
-
-    def physical(self, state):
-        image = self.companion(state)
-        return image is not None and image[0] > 0.0 and image[1] > 0.0
-
-
-class _SisModel(ModelAdapter):
-    companion_fields = ("x", "y")
-
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
-        self.system = SisSystem(self._coefficient("rho0"), self._coefficient("b"),
-                                scenario.a)
-        start = sis.to_canonical(EpidemicState(*scenario.initial))
-        self.constants = IntegrationConstants(start.x, start.y)
-
-    def exact_evaluator(self, tol):
-        evaluate = sis.sis_solution_evaluator(self.system, self.constants, tol)
-
-        def at(t):
-            s = evaluate(t)
-            return (s.q, s.p)
-
-        return at
-
-    def rhs(self, t, state):
-        return sis.sis_rhs(self.system, t, EpidemicState(state[0], state[1]))
-
-    def companion(self, state):
-        return _epidemic_companion(state)
-
-    def physical(self, state):
-        return state[0] > 0.0 and state[1] > 0.0
-
-
-class _SisConstantModel(ModelAdapter):
-    companion_fields = ("x", "y")
-
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
-        self.rho0_value = self._constant_value("rho0")
-        if self.rho0_value == 0.0:
-            raise ScenarioError("sis-constant requires rho0 != 0")
-        if "b" in scenario.coefficients:
-            b_fn = self._coefficient("b")
-            if not b_fn.is_constant() or b_fn(scenario.t_start) != 1.0:
-                raise ScenarioError("sis-constant fixes b == 1")
-        self.system = SisSystem(
-            CoefficientFunction.constant(self.rho0_value),
-            CoefficientFunction.constant(1.0),
-            scenario.a,
-        )
-        start = sis.to_canonical(EpidemicState(*scenario.initial))
-        self.constants = IntegrationConstants(start.x, start.y)
-
-    def exact_evaluator(self, tol):
-        def at(t):
-            s = sis.sis_constant_solution(self.rho0_value, self.constants, t)
-            return (s.q, s.p)
-
-        return at
-
-    def rhs(self, t, state):
-        return sis.sis_rhs(self.system, t, EpidemicState(state[0], state[1]))
-
-    def companion(self, state):
-        return _epidemic_companion(state)
-
-    def physical(self, state):
-        return state[0] > 0.0 and state[1] > 0.0
-
-
-class _MomentsModel(ModelAdapter):
-    companion_fields = ("q", "p")
-
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
-        self.rho0_value = self._constant_value("rho0")
-        if self.rho0_value == 0.0:
-            raise ScenarioError("moments requires rho0 != 0")
-        mean0, var0 = scenario.initial
-        if var0 <= 0.0:
-            raise ScenarioError("moments requires a positive initial variance")
-        start_qp = sis.state_from_moments(MomentState(mean0, var0))
-        start = sis.to_canonical(start_qp)
-        self.constants = IntegrationConstants(start.x, start.y)
-
-    def exact_evaluator(self, tol):
-        def at(t):
-            s = sis.sis_constant_solution(self.rho0_value, self.constants, t)
-            m = sis.moments_from_state(s)
-            return (m.mean, m.variance)
-
-        return at
-
-    def rhs(self, t, state):
-        return sis.moment_rhs(self.rho0_value, MomentState(state[0], state[1]))
-
-    def companion(self, state):
         try:
-            s = sis.state_from_moments(MomentState(state[0], state[1]))
+            image = self.chart.to_companion(self.chart.state(*state))
         except (BooksisError, ValueError):
             return None
-        return (s.q, s.p)
+        return self._companion_values(image)
 
-    def physical(self, state):
-        return state[0] > 0.0 and state[1] > 0.0
+    def physical(self, state: tuple[float, float]) -> bool:
+        if self.chart.physical_in_companion:
+            state = self.companion(state)
+        return state is not None and state[0] > 0.0 and state[1] > 0.0
 
-
-class _DeformedBookModel(ModelAdapter):
-    companion_fields = ("q", "p")
-
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
-        base = BookSystem(self._coefficient("bA"), self._coefficient("bB"), scenario.a)
-        self.system = DeformedBookSystem(base, scenario.z)
-        self.constants = deformed.deformed_fit_constants(
-            self.system, scenario.t_start, CanonicalState(*scenario.initial)
-        )
-
-    def exact_evaluator(self, tol):
-        evaluate = deformed.deformed_solution_evaluator(self.system, self.constants, tol)
-
-        def at(t):
-            s = evaluate(t)
-            return (s.x, s.y)
-
-        return at
-
-    def rhs(self, t, state):
-        return deformed.deformed_rhs(self.system, t, CanonicalState(state[0], state[1]))
-
-    def companion(self, state):
-        return _canonical_companion(state)
-
-    def physical(self, state):
-        image = self.companion(state)
-        return image is not None and image[0] > 0.0 and image[1] > 0.0
-
-    def validity_t_max(self, horizon):
-        return deformed.validity_window(self.system, self.constants.c1, horizon).t_max
+    def validity_t_max(self, horizon: float) -> float:
+        if not self.spec.deformed:
+            return math.inf
+        return deformed.validity_window(self.book, self.constants.c1, horizon).t_max
 
 
-class _DeformedSisModel(ModelAdapter):
-    companion_fields = ("x", "y")
-
-    def __init__(self, scenario: Scenario):
-        super().__init__(scenario)
-        base = SisSystem(self._coefficient("rho0"), self._coefficient("b"), scenario.a)
-        self.system = DeformedSisSystem(base, scenario.z)
-        # the validity window lives in the canonical picture
-        self._book = DeformedBookSystem(
-            BookSystem(base.rho0, base.b, base.a), scenario.z
-        )
-        start = sis.to_canonical(EpidemicState(*scenario.initial))
-        self.constants = deformed.deformed_fit_constants(
-            self._book, scenario.t_start, start
-        )
-
-    def exact_evaluator(self, tol):
-        evaluate = deformed.deformed_sis_solution_evaluator(
-            self.system, self.constants, tol
-        )
-
-        def at(t):
-            s = evaluate(t)
-            return (s.q, s.p)
-
-        return at
-
-    def rhs(self, t, state):
-        return deformed.deformed_sis_rhs(
-            self.system, t, EpidemicState(state[0], state[1])
-        )
-
-    def companion(self, state):
-        return _epidemic_companion(state)
-
-    def physical(self, state):
-        return state[0] > 0.0 and state[1] > 0.0
-
-    def validity_t_max(self, horizon):
-        return deformed.validity_window(self._book, self.constants.c1, horizon).t_max
-
-
-_ADAPTERS = {
-    "book-canonical": _BookModel,
-    "sis": _SisModel,
-    "sis-constant": _SisConstantModel,
-    "moments": _MomentsModel,
-    "deformed-book": _DeformedBookModel,
-    "deformed-sis": _DeformedSisModel,
-}
-
-
-def build_adapter(scenario: Scenario) -> ModelAdapter:
+def build_adapter(scenario: Scenario) -> Model:
     """Instantiate the scenario's model; domain problems with the initial
     state (e.g. on the singular locus) surface as ScenarioError."""
     try:
-        return _ADAPTERS[scenario.model](scenario)
+        return Model(scenario)
     except BooksisError as exc:
         if isinstance(exc, ScenarioError):
             raise
@@ -541,7 +396,7 @@ class Trajectory:
     metadata: dict
 
 
-def _residual(adapter: ModelAdapter, evaluate, t: float,
+def _residual(adapter: Model, evaluate, t: float,
               state: tuple[float, float]) -> float:
     """Relative defect between the finite-difference time derivative of
     the closed form and the model right-hand side."""
@@ -618,16 +473,16 @@ def run_scenario(
                 raise NonFiniteSampleError(f"non-finite trial state at t={tv!r}")
             return np.asarray(adapter.rhs(tv, (a0, a1)))
 
-        problem = oracle.OdeProblem(
-            rhs=vector_rhs,
-            t0=scenario.t_start,
-            state0=np.asarray(exact_states[0]),
-            t_end=evaluated_times[-1],
-        )
+        state0 = np.asarray(exact_states[0])
+
+        def integrate(times: list[float]):
+            problem = oracle.OdeProblem(rhs=vector_rhs, t0=scenario.t_start,
+                                        state0=state0, t_end=times[-1])
+            solution = oracle.integrate_ode(problem, config, times)
+            return [solution.states[i] for i in range(len(times))], dict(solution.stats)
+
         try:
-            solution = oracle.integrate_ode(problem, config, evaluated_times)
-            numeric_states = [solution.states[i] for i in range(len(evaluated_times))]
-            solver_stats = dict(solution.stats)
+            numeric_states, solver_stats = integrate(evaluated_times)
         except BooksisError as exc:
             last = getattr(exc, "last_time", scenario.t_start)
             keep = [i for i, t in enumerate(evaluated_times) if t <= last]
@@ -642,15 +497,7 @@ def run_scenario(
             evaluated_times = [evaluated_times[i] for i in keep]
             exact_states = [exact_states[i] for i in keep]
             if evaluated_times:
-                solution = oracle.integrate_ode(
-                    oracle.OdeProblem(
-                        rhs=problem.rhs, t0=scenario.t_start,
-                        state0=problem.state0, t_end=evaluated_times[-1],
-                    ),
-                    config, evaluated_times,
-                )
-                numeric_states = [solution.states[i] for i in range(len(evaluated_times))]
-                solver_stats = dict(solution.stats)
+                numeric_states, solver_stats = integrate(evaluated_times)
 
     samples = []
     max_dev = 0.0
@@ -722,18 +569,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: Path, adapter: ModelAdapter, trajectory: Trajectory) -> None:
-    fields = adapter.fields
-    companion = adapter.companion_fields or ()
-    header = ["t", *fields, *companion, "deviation", "residual", "physical"]
+def _write_csv(path: Path, adapter: Model, trajectory: Trajectory) -> None:
+    header = ["t", *adapter.fields, *adapter.companion_fields,
+              "deviation", "residual", "physical"]
     lines = [",".join(header)]
     for s in trajectory.samples:
         row = [_fmt(s.t), _fmt(s.state[0]), _fmt(s.state[1])]
-        if companion:
-            if s.companion is None:
-                row += ["nan", "nan"]
-            else:
-                row += [_fmt(s.companion[0]), _fmt(s.companion[1])]
+        if s.companion is None:
+            row += ["nan", "nan"]
+        else:
+            row += [_fmt(s.companion[0]), _fmt(s.companion[1])]
         row += [_fmt(s.deviation), _fmt(s.residual), "1" if s.physical else "0"]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
@@ -756,7 +601,7 @@ def compare_scenario(
     second order), with observed convergence orders between consecutive
     sweep entries."""
     scenario = load_scenario(path)
-    if scenario.model not in ("deformed-book", "deformed-sis"):
+    if not _MODEL_TABLE[scenario.model].deformed:
         raise ScenarioError("compare needs a deformed-book or deformed-sis scenario")
     if z_values is None:
         if scenario.z == 0.0:
@@ -767,16 +612,13 @@ def compare_scenario(
     grid = [float(t) for t in np.linspace(scenario.t_start, scenario.t_end,
                                           scenario.n_samples)]
 
-    def variant(z: float) -> Scenario:
-        return replace(scenario, z=z)
-
     # classical reference from the same initial state
-    classical = build_adapter(variant(0.0))
+    classical = build_adapter(replace(scenario, z=0.0))
     classical_states = _sweep_exact(classical, scenario, grid)
 
     rows: list[dict] = []
     for z in z_values:
-        adapter = build_adapter(variant(z))
+        adapter = build_adapter(replace(scenario, z=z))
         t_max = adapter.validity_t_max(scenario.t_end + 1.0)
         if t_max <= scenario.t_end:
             raise BooksisError(
@@ -790,34 +632,20 @@ def compare_scenario(
         )
         res = 0.0
         for t, s in zip(grid, states):
-            if scenario.model == "deformed-book":
-                state = CanonicalState(s[0], s[1])
-            else:
-                state = EpidemicState(s[0], s[1])
             full = adapter.rhs(t, s)
-            trunc = deformed.perturbed_rhs_first_order(adapter.system, t, state)
+            trunc = deformed.perturbed_rhs_first_order(
+                adapter.system, t, adapter.chart.state(*s)
+            )
             res = max(res, abs(full[0] - trunc[0]), abs(full[1] - trunc[1]))
         rows.append({"z": z, "deviation_vs_classical": dev,
                      "first_order_residual": res})
 
-    for i in range(len(rows) - 1):
-        z0, z1 = rows[i]["z"], rows[i + 1]["z"]
-        if z0 > 0 and z1 > 0 and z0 != z1:
-            denom = math.log(z0 / z1)
-            d0, d1 = rows[i]["deviation_vs_classical"], rows[i + 1]["deviation_vs_classical"]
-            r0, r1 = rows[i]["first_order_residual"], rows[i + 1]["first_order_residual"]
-            rows[i]["deviation_order"] = (
-                math.log(d0 / d1) / denom if d0 > 0 and d1 > 0 else None
-            )
-            rows[i]["residual_order"] = (
-                math.log(r0 / r1) / denom if r0 > 0 and r1 > 0 else None
-            )
-        else:
-            rows[i]["deviation_order"] = None
-            rows[i]["residual_order"] = None
-    if rows:
-        rows[-1]["deviation_order"] = None
-        rows[-1]["residual_order"] = None
+    # observed order between each entry and the next; None for the last
+    for row, nxt in zip(rows, [*rows[1:], None]):
+        for order, key in (("deviation_order", "deviation_vs_classical"),
+                           ("residual_order", "first_order_residual")):
+            row[order] = None if nxt is None else _order(row["z"], nxt["z"],
+                                                         row[key], nxt[key])
 
     if out_dir is not None:
         out_dir = Path(out_dir)
@@ -834,7 +662,14 @@ def compare_scenario(
     return rows, EXIT_PASS
 
 
-def _sweep_exact(adapter: ModelAdapter, scenario: Scenario, grid: list[float]):
+def _order(z0: float, z1: float, v0: float, v1: float) -> float | None:
+    """Slope of log v against log z between two sweep entries."""
+    if z0 > 0 and z1 > 0 and z0 != z1 and v0 > 0 and v1 > 0:
+        return math.log(v0 / v1) / math.log(z0 / z1)
+    return None
+
+
+def _sweep_exact(adapter: Model, scenario: Scenario, grid: list[float]):
     evaluate = adapter.exact_evaluator(scenario.quadrature_tol)
     return [evaluate(t) for t in grid]
 
@@ -842,18 +677,10 @@ def _sweep_exact(adapter: ModelAdapter, scenario: Scenario, grid: list[float]):
 # --- entry point ---------------------------------------------------------------------
 
 def _cmd_run(args) -> int:
-    try:
-        trajectory, metadata, code = run_scenario(
-            args.scenario, method=args.method, tol=args.tol,
-            out_dir=args.output, fmt=args.format,
-        )
-    except (ScenarioError, ExpressionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BooksisError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    md = metadata
+    _, md, code = run_scenario(
+        args.scenario, method=args.method, tol=args.tol,
+        out_dir=args.output, fmt=args.format,
+    )
     print(f"model={md['model']} samples={md['samples_evaluated']} "
           f"max_deviation={md['max_deviation']:.3e} "
           f"max_residual={md['max_residual']:.3e} "
@@ -870,16 +697,8 @@ def _cmd_compare(args) -> int:
         try:
             sweep = [float(part) for part in args.z_sweep.split(",") if part.strip()]
         except ValueError as exc:
-            print(f"input error: bad --z-sweep: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    try:
-        rows, code = compare_scenario(args.scenario, sweep, out_dir=args.output)
-    except (ScenarioError, ExpressionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BooksisError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+            raise ScenarioError(f"bad --z-sweep: {exc}") from exc
+    rows, code = compare_scenario(args.scenario, sweep, out_dir=args.output)
     print(f"{'z':>12} {'dev_vs_classical':>18} {'order':>7} "
           f"{'first_order_resid':>18} {'order':>7}")
     for row in rows:
@@ -905,19 +724,12 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_window(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        adapter = build_adapter(scenario)
-        horizon = args.horizon if args.horizon is not None else scenario.t_end
-        if horizon <= scenario.t_start:
-            raise ScenarioError("--horizon must exceed the grid start")
-        t_max = adapter.validity_t_max(horizon)
-    except (ScenarioError, ExpressionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BooksisError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    scenario = load_scenario(args.scenario)
+    adapter = build_adapter(scenario)
+    horizon = args.horizon if args.horizon is not None else scenario.t_end
+    if horizon <= scenario.t_start:
+        raise ScenarioError("--horizon must exceed the grid start")
+    t_max = adapter.validity_t_max(horizon)
     if math.isinf(t_max):
         print(f"t_max=inf (no validity exit up to horizon {horizon!r})")
     else:
@@ -960,7 +772,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_win.set_defaults(func=_cmd_window)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one place where typed failures become exit codes
+    try:
+        return args.func(args)
+    except (ScenarioError, ExpressionError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except BooksisError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":
