@@ -44,6 +44,7 @@ __all__ = [
     "exact_solution",
     "solution_evaluator",
     "fit_constants",
+    "finite_state",
     "poisson_bracket",
     "vf_commutator",
     "default_fd_step",
@@ -121,6 +122,16 @@ def rhs(sys: BookSystem, t: float, s: CanonicalState) -> Vector:
     return (ba * s.x, -ba * s.y + sys.b_b(t))
 
 
+def finite_state(state_type, first: float, second: float, t: float):
+    """``state_type(first, second)`` for a closed-form value at time ``t``;
+    a non-finite component raises :class:`NonFiniteSampleError`."""
+    if not (math.isfinite(first) and math.isfinite(second)):
+        raise NonFiniteSampleError(
+            f"closed-form state ({first!r}, {second!r}) is not finite at t={t!r}"
+        )
+    return state_type(first, second)
+
+
 def _exp_theta(theta_value: float, t: float) -> float:
     try:
         return math.exp(theta_value)
@@ -150,9 +161,13 @@ def solution_evaluator(
     def evaluate(t: float) -> CanonicalState:
         th = theta(t)
         growth = _exp_theta(th, t)
+        if growth == 0.0:
+            raise ExpOverflowError(
+                f"exp(-Theta(t)) overflowed at t={t!r} (Theta={th!r})"
+            )
         x = constants.c1 * growth
         y = (constants.c2 + forced(t)) / growth
-        return CanonicalState(x, y)
+        return finite_state(CanonicalState, x, y, t)
 
     return evaluate
 

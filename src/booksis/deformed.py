@@ -40,6 +40,7 @@ from .canonical import (
     CanonicalState,
     IntegrationConstants,
     default_fd_step,
+    finite_state,
     poisson_bracket,
     vf_commutator,
 )
@@ -316,8 +317,10 @@ def deformed_solution_evaluator(
             raise ValidityWindowError(t, t)
         x = c1 * _exp_checked(theta(t), "deformed solution") * _shifted_log_ratio(w)
         g = _exp_checked(gamma(t), "deformed solution")
+        if g == 0.0:
+            raise ExpOverflowError(f"deformed solution: exp(-Gamma) overflowed at t={t!r}")
         y = (c2 + forced(t)) / g
-        return CanonicalState(x, y)
+        return finite_state(CanonicalState, x, y, t)
 
     return evaluate
 
@@ -434,8 +437,9 @@ def deformed_sis_solution_evaluator(
             raise ValidityWindowError(t, t)
         # x = -L/z stably; L = ln(1 - w)
         x = c1 * _exp_checked(theta(t), "deformed SIS solution") * _shifted_log_ratio(w)
-        if x == 0.0:
-            raise SingularLocusError(f"x(t) = 0 at t={t!r}")
+        # x^2 is a chart denominator below; it vanishes when x underflows too
+        if x * x == 0.0:
+            raise SingularLocusError(f"x(t) = {x!r} gives x^2 = 0 at t={t!r}")
         decay = _exp_checked(-gamma(t), "deformed SIS solution")
         i_t = c2 + forced(t)
         y = decay * i_t
@@ -444,7 +448,7 @@ def deformed_sis_solution_evaluator(
             raise SingularLocusError(f"solution hit the singular locus at t={t!r}")
         q = y / (y * y - 1.0 / (x * x))
         p = x * y * y - 1.0 / x
-        return EpidemicState(q, p)
+        return finite_state(EpidemicState, q, p, t)
 
     return evaluate
 

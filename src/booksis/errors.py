@@ -107,11 +107,13 @@ class ValidityWindowError(BooksisError):
 
 
 class ExpOverflowError(BooksisError):
-    """Exponential factor e^(z*x) (or e^Theta) overflowed."""
+    """Exponential factor e^(z*x) (or e^Theta) overflowed, or underflowed
+    to zero where the solution divides by it."""
 
 
 class NonFiniteSampleError(BooksisError):
-    """Finite-difference stencil hit a non-finite function sample."""
+    """Finite-difference stencil or closed-form solution hit a non-finite
+    value."""
 
 
 # --- ODE integration -------------------------------------------------------

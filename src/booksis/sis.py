@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .canonical import CanonicalState, IntegrationConstants
+from .canonical import CanonicalState, IntegrationConstants, finite_state
 from .errors import ExpOverflowError, SingularLocusError
 from .quadrature import DEFAULT_TOLERANCE, cumulative
 from .timefn import CoefficientFunction
@@ -201,6 +201,8 @@ def sis_solution_evaluator(
     def evaluate(t: float) -> EpidemicState:
         i_t = c2 + forced(t)
         g = growth(t)
+        if g == 0.0:
+            raise ExpOverflowError(f"exp(-Theta) overflowed at t={t!r}")
         # q^2 p^2 - 1 along the solution equals c1^2 I^2 - 1
         locus = c1 * i_t
         if abs(locus * locus - 1.0) < SINGULAR_LOCUS_TOLERANCE:
@@ -209,7 +211,7 @@ def sis_solution_evaluator(
             )
         q = i_t * g / (i_t * i_t - 1.0 / (c1 * c1))
         p = (c1 * i_t * i_t - 1.0 / c1) / g
-        return EpidemicState(q, p)
+        return finite_state(EpidemicState, q, p, t)
 
     return evaluate
 
@@ -243,13 +245,15 @@ def sis_constant_solution(
         g = math.exp(rho0 * t)
     except OverflowError as exc:
         raise ExpOverflowError(f"exp(rho0*t) overflowed at t={t!r}") from exc
+    if g == 0.0:
+        raise ExpOverflowError(f"exp(-rho0*t) overflowed at t={t!r}")
     k = g + c2 * rho0 - 1.0
     denom = k * k - rho0 * rho0 / (c1 * c1)
     if abs(c1 * c1 * k * k - rho0 * rho0) < SINGULAR_LOCUS_TOLERANCE * max(1.0, rho0 * rho0):
         raise SingularLocusError(f"singular denominator at t={t!r}")
     q = rho0 * k * g / denom
     p = (c1 * k * k / (rho0 * rho0) - 1.0 / c1) / g
-    return EpidemicState(q, p)
+    return finite_state(EpidemicState, q, p, t)
 
 
 # --- moment form ---------------------------------------------------------------------

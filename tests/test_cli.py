@@ -278,6 +278,31 @@ class TestMainEntryPoint:
         path.write_text(json.dumps(doc))
         assert main(["run", str(path)]) == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "model, coefficients, z, chart, values",
+        [
+            ("book-canonical", {"bA": "-800", "bB": "0"}, 0.0, "xy", [0.4, 0.8]),
+            ("sis", {"rho0": "-800", "b": "1"}, 0.0, "qp", [2.0 / 3.0, 3.0]),
+            ("sis-constant", {"rho0": "-800"}, 0.0, "qp", [2.0 / 3.0, 3.0]),
+            ("deformed-book", {"bA": "-800", "bB": "0"}, 0.1, "xy", [0.4, 0.8]),
+            ("deformed-sis", {"rho0": "-800", "b": "1"}, 0.1, "qp", [2.0 / 3.0, 3.0]),
+            ("book-canonical", {"bA": "1", "bB": "1e308"}, 0.0, "xy", [0.4, 0.8]),
+        ],
+        ids=["book-underflow", "sis-underflow", "sis-constant-underflow",
+             "deformed-book-underflow", "deformed-sis-underflow", "book-overflow"],
+    )
+    def test_run_closed_form_out_of_range(self, tmp_path, capsys, model,
+                                          coefficients, z, chart, values):
+        # exp(+-Theta) underflows or the forced integral overflows inside the grid
+        path = write_scenario(
+            tmp_path, model=model, coefficients=coefficients, z=z,
+            initial={"chart": chart, "values": values},
+            grid={"t_start": 0.0, "t_end": 2.0, "n_samples": 5},
+        )
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == EXIT_DOMAIN
+        report = json.loads((tmp_path / "out" / "scen.report.json").read_text())
+        assert report["domain_exit"] is not None
+
     def test_window_verb(self, tmp_path, capsys):
         doc = deformed_book_doc(z=1.0)
         doc["coefficients"] = {"bA": "1", "bB": "1"}
