@@ -47,6 +47,7 @@ __all__ = [
     "evaluate_ast",
     "evaluate",
     "FUNCTION_NAMES",
+    "MAX_DEPTH",
 ]
 
 FUNCTION_NAMES = ("sin", "cos", "exp", "ln", "abs")
@@ -119,10 +120,21 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 # --- parser -------------------------------------------------------------------
 
+# Deepest expression the parser accepts, counted both as tree depth and as
+# grammar productions open at once.  The parser recurses a few frames per
+# level and the printer, evaluator and constant fold one frame per tree
+# level, so this stays far below the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; every production returns its tree and the
+    tree's depth."""
+
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.i = 0
+        self.level = 0  # factor productions currently open
 
     def peek(self):
         return self.tokens[self.i]
@@ -141,59 +153,81 @@ class _Parser:
             offset,
         )
 
+    @staticmethod
+    def check_depth(depth: int, offset: int) -> None:
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nests deeper than {MAX_DEPTH} levels", offset
+            )
+
     def parse(self) -> ExpressionAst:
-        node = self.expr()
+        node, _ = self.expr()
         kind, text, offset = self.peek()
         if kind != "end":
             raise ExpressionSyntaxError(f"unexpected trailing {text!r}", offset)
         return node
 
-    def expr(self) -> ExpressionAst:
-        node = self.term()
+    def expr(self) -> tuple[ExpressionAst, int]:
+        node, depth = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                node = BinOp(text, node, self.term())
+                right, right_depth = self.term()
+                node, depth = BinOp(text, node, right), 1 + max(depth, right_depth)
+                self.check_depth(depth, offset)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> ExpressionAst:
-        node = self.factor()
+    def term(self) -> tuple[ExpressionAst, int]:
+        node, depth = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, offset = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                node = BinOp(text, node, self.factor())
+                right, right_depth = self.factor()
+                node, depth = BinOp(text, node, right), 1 + max(depth, right_depth)
+                self.check_depth(depth, offset)
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> ExpressionAst:
-        kind, text, _ = self.peek()
+    def factor(self) -> tuple[ExpressionAst, int]:
+        kind, text, offset = self.peek()
+        # every recursion of the grammar passes through here
+        self.level += 1
+        self.check_depth(self.level, offset)
         if kind == "op" and text == "-":
             self.advance()
-            operand = self.factor()
+            node, depth = self.factor()
             # fold a negated literal so pretty-printing round-trips
-            if isinstance(operand, Literal):
-                return Literal(-operand.value)
-            return Neg(operand)
-        return self.power()
+            if isinstance(node, Literal):
+                node = Literal(-node.value)
+            else:
+                node, depth = Neg(node), depth + 1
+                self.check_depth(depth, offset)
+        else:
+            node, depth = self.power()
+        self.level -= 1
+        return node, depth
 
-    def power(self) -> ExpressionAst:
-        base = self.atom()
-        kind, text, _ = self.peek()
+    def power(self) -> tuple[ExpressionAst, int]:
+        base, depth = self.atom()
+        kind, text, offset = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, exponent_depth = self.factor()
+            depth = 1 + max(depth, exponent_depth)
+            self.check_depth(depth, offset)
+            return BinOp("^", base, exponent), depth
+        return base, depth
 
-    def atom(self) -> ExpressionAst:
+    def atom(self) -> tuple[ExpressionAst, int]:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Literal(float(text))
+            return Literal(float(text)), 1
         if kind == "name":
             if text == "t":
-                return TimeVar()
+                return TimeVar(), 1
             if text not in FUNCTION_NAMES:
                 raise UnknownIdentifierError(text, offset)
             self.expect_op("(")
@@ -208,11 +242,13 @@ class _Parser:
             self.expect_op(")")
             if len(args) != 1:
                 raise ArityMismatchError(text, len(args), offset)
-            return Call(text, args[0])
+            arg, depth = args[0]
+            self.check_depth(depth + 1, offset)
+            return Call(text, arg), depth + 1
         if kind == "op" and text == "(":
-            node = self.expr()
+            result = self.expr()
             self.expect_op(")")
-            return node
+            return result
         raise ExpressionSyntaxError(
             f"expected a value, found {text!r}" if text else "unexpected end of input",
             offset,
@@ -224,7 +260,8 @@ def parse_expression(source: str) -> ExpressionAst:
 
     Raises :class:`ExpressionSyntaxError`, :class:`UnknownIdentifierError`
     or :class:`ArityMismatchError`, each carrying the byte offset of the
-    offending token.
+    offending token.  An expression nested deeper than ``MAX_DEPTH``
+    levels is a syntax error.
     """
     if not source or not source.strip():
         raise ExpressionSyntaxError("empty expression", 0)

@@ -303,6 +303,16 @@ class TestMainEntryPoint:
         report = json.loads((tmp_path / "out" / "scen.report.json").read_text())
         assert report["domain_exit"] is not None
 
+    @pytest.mark.parametrize(
+        "rho0",
+        ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1", "^".join(["1"] * 3000)],
+        ids=["parentheses", "unary-minus", "power-chain"],
+    )
+    def test_run_deep_expression(self, tmp_path, capsys, rho0):
+        path = write_scenario(tmp_path, coefficients={"rho0": rho0})
+        assert main(["run", str(path)]) == EXIT_INPUT
+        assert "nests deeper" in capsys.readouterr().err
+
     def test_window_verb(self, tmp_path, capsys):
         doc = deformed_book_doc(z=1.0)
         doc["coefficients"] = {"bA": "1", "bB": "1"}

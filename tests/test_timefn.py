@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from booksis.errors import (
@@ -13,6 +13,7 @@ from booksis.timefn import (
     Call,
     CoefficientFunction,
     Literal,
+    MAX_DEPTH,
     Neg,
     TimeVar,
     evaluate,
@@ -75,6 +76,27 @@ class TestParser:
 
     def test_left_associative_subtraction(self):
         assert evaluate_ast(parse_expression("10 - 4 - 3"), 0.0) == 3.0
+
+    @pytest.mark.parametrize(
+        "shape, offset",
+        [
+            (lambda n: "(" * (n - 1) + "t" + ")" * (n - 1), MAX_DEPTH),
+            (lambda n: "-" * (n - 1) + "t", MAX_DEPTH),
+            (lambda n: "^".join(["t"] * n), 2 * MAX_DEPTH),
+            (lambda n: "+".join(["t"] * n), 2 * MAX_DEPTH - 1),
+            (lambda n: "sin(" * (n - 1) + "t" + ")" * (n - 1), 4 * MAX_DEPTH),
+        ],
+        ids=["parentheses", "unary-minus", "power-chain", "sum-chain", "calls"],
+    )
+    def test_nesting_limit(self, shape, offset):
+        # the deepest accepted tree still prints, evaluates and folds
+        fn = CoefficientFunction.from_ast(parse_expression(shape(MAX_DEPTH)))
+        assert parse_expression(fn.to_text()) == fn.as_expression()
+        fn(0.5)
+        assert not fn.is_constant()
+        with pytest.raises(ExpressionSyntaxError) as err:
+            parse_expression(shape(MAX_DEPTH + 1))
+        assert err.value.offset == offset
 
 
 class TestEvaluate:
@@ -178,6 +200,10 @@ def test_pretty_print_round_trip(tree):
 
 
 @given(st.text(alphabet="0123456789.+-*/^()tsincoexplab ", max_size=40))
+@example("(" * 3000 + "t" + ")" * 3000)
+@example("-" * 3000 + "t")
+@example("^".join(["t"] * 3000))
+@example("+".join(["t"] * 3000))
 @settings(max_examples=300, deadline=None)
 def test_parser_never_crashes_unexpectedly(source):
     try:
