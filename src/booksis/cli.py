@@ -205,7 +205,9 @@ def load_scenario(path: str | Path) -> Scenario:
 # every model fits its constants (at z = 0 the deformed fit reads off
 # (x0, y0) exactly).  The model decides the system object, the closed form
 # and the right-hand side.  Table entries reach library functions through
-# their module at call time, never through a reference taken at import.
+# their module at call time, never through a reference taken at import, so
+# a function rebound on its module (a tracer, a test double) is the one
+# that runs.
 
 @dataclass(frozen=True)
 class _Chart:
@@ -324,19 +326,19 @@ class Model:
             raise ScenarioError(f"coefficient {key!r}: {exc}") from exc
 
     def _constant_rate(self, rate: CoefficientFunction) -> float:
-        model, coefficients, t0 = (self.scenario.model, self.scenario.coefficients,
-                                   self.scenario.t_start)
+        scenario = self.scenario
         if not rate.is_constant():
             raise ScenarioError(
-                f"model {model!r} needs a constant 'rho0', got {coefficients['rho0']!r}"
+                f"model {scenario.model!r} needs a constant 'rho0', "
+                f"got {scenario.coefficients['rho0']!r}"
             )
-        value = rate(t0)
+        value = rate(scenario.t_start)
         if value == 0.0:
-            raise ScenarioError(f"{model} requires rho0 != 0")
-        if "b" in coefficients:
+            raise ScenarioError(f"{scenario.model} requires rho0 != 0")
+        if "b" in scenario.coefficients:
             b_fn = self._coefficient("b")
-            if not b_fn.is_constant() or b_fn(t0) != 1.0:
-                raise ScenarioError(f"{model} fixes b == 1")
+            if not b_fn.is_constant() or b_fn(scenario.t_start) != 1.0:
+                raise ScenarioError(f"{scenario.model} fixes b == 1")
         return value
 
     def exact_evaluator(self, tol: float) -> Callable[[float], tuple[float, float]]:
