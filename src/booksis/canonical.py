@@ -15,6 +15,13 @@ solved in closed form by quadratures:
     y(t) = (c2 + int_a^t exp(Theta(u)) b_b(u) du) * exp(-Theta(t))
 
 with Theta(t) the cumulative integral of b_a from the base point ``a``.
+
+Every closed form in the package is a few lines of algebra on one
+integral kernel, :class:`BookIntegrals`: Theta = int b_a, Gamma =
+int b_a / (1 - z c1 e^Theta) and I = int e^Gamma b_b from ``a``, plus the
+deformed forms' validity window 1 - z c1 e^Theta > 0.  The classical
+forms are the case z c1 = 0, where Gamma is Theta.
+
 Finite-difference Poisson brackets and vector-field commutators are
 provided to verify the algebra's structure relations numerically; they
 are generic over any state-function or field evaluators, so the deformed
@@ -34,6 +41,7 @@ from .timefn import CoefficientFunction
 __all__ = [
     "CanonicalState",
     "BookSystem",
+    "BookIntegrals",
     "IntegrationConstants",
     "hamiltonian_a",
     "hamiltonian_b",
@@ -45,6 +53,7 @@ __all__ = [
     "solution_evaluator",
     "fit_constants",
     "finite_state",
+    "exp_checked",
     "poisson_bracket",
     "vf_commutator",
     "default_fd_step",
@@ -132,13 +141,89 @@ def finite_state(state_type, first: float, second: float, t: float):
     return state_type(first, second)
 
 
-def _exp_theta(theta_value: float, t: float) -> float:
+def exp_checked(arg: float, context: str, t: float | None = None) -> float:
+    """``math.exp(arg)``; an overflow raises :class:`ExpOverflowError`
+    naming ``context`` and, when given, the time ``t``."""
     try:
-        return math.exp(theta_value)
+        return math.exp(arg)
     except OverflowError as exc:
-        raise ExpOverflowError(
-            f"exp(Theta(t)) overflowed at t={t!r} (Theta={theta_value!r})"
-        ) from exc
+        where = "" if t is None else f" at t={t!r}"
+        raise ExpOverflowError(f"{context}: exp({arg!r}) overflowed{where}") from exc
+
+
+# sign-scan step and bisection resolution of the validity-window search
+_SCAN_STEP = 0.02
+_BISECTION_TOL = 1e-10
+
+
+class BookIntegrals:
+    """Theta, Gamma and I as checkpoint-cached cumulative integrals from
+    ``a``, plus the validity window for ``z_c1`` = z * c1.
+
+    At z c1 == 0 the Gamma integrand equals b_a bit for bit, so ``gamma``
+    is ``theta`` and ``tol`` splits 50/50 over Theta and I; otherwise it
+    splits 50/25/25 over Theta, Gamma and I.  The order in which a closed
+    form calls them decides where checkpoints land, hence the last bits.
+
+    The window [a, t_max) is found by a sign scan in steps of 0.02 from
+    ``a`` and bisection of the first sign change to 1e-10, extended lazily
+    by :meth:`window_end` on the shared Theta cache; for z c1 <= 0 it never
+    ends.  Not safe for unsynchronized shared use (checkpoints mutate).
+    """
+
+    def __init__(self, b_a: CoefficientFunction, b_b: CoefficientFunction,
+                 a: float, tol: float = DEFAULT_TOLERANCE, z_c1: float = 0.0):
+        self.z_c1 = z_c1
+        self.theta = theta = cumulative(b_a, a, 0.5 * tol)
+
+        # a closure, not a method: the integrands below must not reference
+        # self, or the caches would live in a cycle until the next GC pass
+        def log_argument(u: float) -> float:
+            """1 - z c1 e^{Theta(u)}, positive inside the validity window."""
+            return 1.0 - z_c1 * exp_checked(theta(u), "validity window", u)
+
+        self.log_argument = log_argument
+        if z_c1 == 0.0:
+            self.gamma = gamma = theta
+            forced_tol = 0.5 * tol
+        else:
+            self.gamma = gamma = cumulative(
+                lambda u: b_a(u) / log_argument(u), a, 0.25 * tol
+            )
+            forced_tol = 0.25 * tol
+        self.forced = cumulative(
+            lambda u: exp_checked(gamma(u), "forced integral", u) * b_b(u),
+            a,
+            forced_tol,
+        )
+        self.t_max = math.inf
+        self._scanned_to = a
+        if z_c1 > 0.0 and log_argument(a) <= 0.0:
+            self.t_max = a  # already outside at the base point
+
+    def window_end(self, t: float) -> float:
+        """Extend the sign scan to ``t`` and return t_max, which stays
+        inf while no window edge lies in [a, t]."""
+        if self.z_c1 <= 0.0 or not math.isinf(self.t_max):
+            return self.t_max
+        while self._scanned_to < t and math.isinf(self.t_max):
+            nxt = min(self._scanned_to + _SCAN_STEP, t)
+            if self.log_argument(nxt) <= 0.0:
+                self.t_max = self._bisect(self._scanned_to, nxt)
+            self._scanned_to = nxt
+        return self.t_max
+
+    def _bisect(self, lo: float, hi: float) -> float:
+        # log_argument(lo) > 0 >= log_argument(hi); first zero to _BISECTION_TOL
+        while hi - lo > _BISECTION_TOL:
+            mid = 0.5 * (lo + hi)
+            if mid <= lo or mid >= hi:
+                break
+            if self.log_argument(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
 
 
 def solution_evaluator(
@@ -151,22 +236,17 @@ def solution_evaluator(
     The underlying cumulative integrals share their checkpoint caches
     across calls, so evaluating a whole time grid costs one sweep.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    theta = cumulative(sys.b_a, sys.a, 0.5 * tol)
-    forced = cumulative(
-        lambda u: _exp_theta(theta(u), u) * sys.b_b(u), sys.a, 0.5 * tol
-    )
+    k = BookIntegrals(sys.b_a, sys.b_b, sys.a, tol)
 
     def evaluate(t: float) -> CanonicalState:
-        th = theta(t)
-        growth = _exp_theta(th, t)
+        th = k.theta(t)
+        growth = exp_checked(th, "book solution", t)
         if growth == 0.0:
             raise ExpOverflowError(
                 f"exp(-Theta(t)) overflowed at t={t!r} (Theta={th!r})"
             )
         x = constants.c1 * growth
-        y = (constants.c2 + forced(t)) / growth
+        y = (constants.c2 + k.forced(t)) / growth
         return finite_state(CanonicalState, x, y, t)
 
     return evaluate

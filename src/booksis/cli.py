@@ -434,7 +434,12 @@ def run_scenario(
         raise ScenarioError(f"unsupported output format {fmt!r}")
     scenario = load_scenario(path)
     adapter = build_adapter(scenario)
-    deviation_tol = scenario.deviation_tol if tol is None else float(tol)
+    if tol is None:
+        deviation_tol = scenario.deviation_tol
+    else:  # the scenario file's rule for tolerances.deviation
+        deviation_tol = _as_number(tol, "tol")
+        if deviation_tol <= 0.0:
+            raise ScenarioError(f"tol must be positive, got {tol!r}")
 
     grid = np.linspace(scenario.t_start, scenario.t_end, scenario.n_samples)
     t_max = adapter.validity_t_max(scenario.t_end + 1.0)
@@ -714,6 +719,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
+    if args.count < 1:
+        raise ScenarioError(f"--count must be at least 1, got {args.count!r}")
     results = invariants_mod.run_all(seed=args.seed, count=args.count)
     width = max(len(r.name) for r in results)
     failed = False
@@ -729,8 +736,10 @@ def _cmd_window(args) -> int:
     scenario = load_scenario(args.scenario)
     adapter = build_adapter(scenario)
     horizon = args.horizon if args.horizon is not None else scenario.t_end
-    if horizon <= scenario.t_start:
-        raise ScenarioError("--horizon must exceed the grid start")
+    if not (scenario.t_start < horizon < math.inf):
+        raise ScenarioError(
+            f"--horizon must be finite and exceed the grid start, got {horizon!r}"
+        )
     t_max = adapter.validity_t_max(horizon)
     if math.isinf(t_max):
         print(f"t_max=inf (no validity exit up to horizon {horizon!r})")

@@ -36,16 +36,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .canonical import (
+    BookIntegrals,
     BookSystem,
     CanonicalState,
     IntegrationConstants,
     default_fd_step,
+    exp_checked,
     finite_state,
     poisson_bracket,
     vf_commutator,
 )
 from .errors import ExpOverflowError, SingularLocusError, ValidityWindowError
-from .quadrature import DEFAULT_TOLERANCE, CumulativeIntegral, cumulative
+from .quadrature import DEFAULT_TOLERANCE
 from .sis import (
     SINGULAR_LOCUS_TOLERANCE,
     EpidemicState,
@@ -80,10 +82,6 @@ __all__ = [
 # kernel branch point: below this the series expansion is used
 _SMALL_ARG = 1e-8
 
-# sign-scan resolution when searching for the validity-window edge
-_SCAN_STEP = 0.02
-_BISECTION_TOL = 1e-10
-
 
 def _phi(w: float) -> float:
     """(e^w - 1)/w, continuous through w = 0."""
@@ -106,13 +104,6 @@ def expm1_over(z: float, x: float) -> float:
     """(e^{z x} - 1)/z evaluated stably for any z, including z = 0 where
     the value is x."""
     return x * _phi(z * x)
-
-
-def _exp_checked(arg: float, context: str) -> float:
-    try:
-        return math.exp(arg)
-    except OverflowError as exc:
-        raise ExpOverflowError(f"{context}: exp({arg!r}) overflowed") from exc
 
 
 @dataclass(frozen=True)
@@ -169,7 +160,7 @@ def deformed_field_a(z: float, s: CanonicalState) -> tuple[float, float]:
     """((e^{z x} - 1)/z, -e^{z x} y)"""
     return (
         expm1_over(z, s.x),
-        -_exp_checked(z * s.x, "deformed_field_a") * s.y,
+        -exp_checked(z * s.x, "deformed_field_a") * s.y,
     )
 
 
@@ -192,7 +183,7 @@ def deformed_rhs(sys: DeformedBookSystem, t: float, s: CanonicalState) -> tuple[
     ba = sys.base.b_a(t)
     return (
         ba * expm1_over(sys.z, s.x),
-        -ba * _exp_checked(sys.z * s.x, "deformed_rhs") * s.y + sys.base.b_b(t),
+        -ba * exp_checked(sys.z * s.x, "deformed_rhs") * s.y + sys.base.b_b(t),
     )
 
 
@@ -211,48 +202,6 @@ def deformed_fit_constants(
 
 # --- validity window -------------------------------------------------------------
 
-class _WindowScanner:
-    """Incremental first-root search for g(t) = 1 - z c1 e^{Theta(t)}.
-
-    Scans forward from the base point in fixed steps, bisecting the first
-    sign change.  Shares the Theta cache so repeated extensions cost one
-    sweep of the time axis.
-    """
-
-    def __init__(self, theta: CumulativeIntegral, z_c1: float, start: float):
-        self.theta = theta
-        self.z_c1 = z_c1
-        self.start = start
-        self.t_max = math.inf
-        self._scanned_to = start
-        if z_c1 > 0.0 and self._g(start) <= 0.0:
-            self.t_max = start  # already outside at the base point
-
-    def _g(self, t: float) -> float:
-        return 1.0 - self.z_c1 * _exp_checked(self.theta(t), "validity scan")
-
-    def ensure_scanned(self, t: float) -> None:
-        if self.z_c1 <= 0.0 or not math.isinf(self.t_max):
-            return
-        while self._scanned_to < t and math.isinf(self.t_max):
-            nxt = min(self._scanned_to + _SCAN_STEP, t)
-            if self._g(nxt) <= 0.0:
-                self.t_max = self._bisect(self._scanned_to, nxt)
-            self._scanned_to = nxt
-
-    def _bisect(self, lo: float, hi: float) -> float:
-        # g(lo) > 0 >= g(hi); locate the first zero to _BISECTION_TOL
-        while hi - lo > _BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if self._g(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-
 def validity_window(
     sys: DeformedBookSystem,
     c1: float,
@@ -260,18 +209,17 @@ def validity_window(
     tol: float = DEFAULT_TOLERANCE,
 ) -> ValidityWindow:
     """First time in [a, horizon] where 1 - z c1 e^{Theta(t)} vanishes,
-    located by sign scan plus bisection; t_max = inf when no sign change
-    occurs (in particular whenever z*c1 <= 0, where the argument never
-    drops below 1)."""
+    located by the kernel's sign scan plus bisection; t_max = inf when no
+    sign change occurs (in particular whenever z*c1 <= 0, where the
+    argument never drops below 1).  ``horizon`` must be finite and exceed
+    the base point."""
     a = sys.base.a
-    if horizon <= a:
-        raise ValueError(f"horizon {horizon!r} must exceed the base point {a!r}")
-    if sys.z * c1 <= 0.0:
-        return ValidityWindow(a, math.inf)
-    theta = cumulative(sys.base.b_a, a, 0.5 * tol)
-    scanner = _WindowScanner(theta, sys.z * c1, a)
-    scanner.ensure_scanned(horizon)
-    return ValidityWindow(a, scanner.t_max)
+    if not (a < horizon < math.inf):
+        raise ValueError(
+            f"horizon {horizon!r} must be finite and exceed the base point {a!r}"
+        )
+    k = BookIntegrals(sys.base.b_a, sys.base.b_b, a, tol, sys.z * c1)
+    return ValidityWindow(a, k.window_end(horizon))
 
 
 # --- deformed closed-form solutions ----------------------------------------------
@@ -281,45 +229,29 @@ def deformed_solution_evaluator(
     constants: IntegrationConstants,
     tol: float = DEFAULT_TOLERANCE,
 ) -> Callable[[float], CanonicalState]:
-    """Closed-form deformed solution as an evaluator with shared caches.
-
-    Quadrature tolerance is split 50/25/25 over the three nesting levels
-    (Theta, Gamma, and the forced integral of the y component), keeping
-    the composite error under the requested budget.  Every call verifies
-    the requested time against the validity window, extending the root
-    scan lazily.
+    """Closed-form deformed solution as an evaluator with shared caches
+    (see :class:`~booksis.canonical.BookIntegrals` for the tolerance
+    split).  Every call verifies the requested time against the validity
+    window, extending the root scan lazily.  At z c1 = 0 the values equal
+    the classical :func:`~booksis.canonical.solution_evaluator`'s bit for
+    bit.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     z = sys.z
     c1, c2 = constants.c1, constants.c2
     a = sys.base.a
-    theta = cumulative(sys.base.b_a, a, 0.5 * tol)
-    scanner = _WindowScanner(theta, z * c1, a)
-
-    def log_argument(u: float) -> float:
-        return 1.0 - z * c1 * _exp_checked(theta(u), "deformed solution")
-
-    gamma = cumulative(lambda u: sys.base.b_a(u) / log_argument(u), a, 0.25 * tol)
-    forced = cumulative(
-        lambda u: _exp_checked(gamma(u), "deformed solution") * sys.base.b_b(u),
-        a,
-        0.25 * tol,
-    )
+    k = BookIntegrals(sys.base.b_a, sys.base.b_b, a, tol, z * c1)
 
     def evaluate(t: float) -> CanonicalState:
-        if t >= a:
-            scanner.ensure_scanned(t)
-            if t >= scanner.t_max:
-                raise ValidityWindowError(t, scanner.t_max)
-        w = z * c1 * _exp_checked(theta(t), "deformed solution")
+        if t >= a and t >= k.window_end(t):
+            raise ValidityWindowError(t, k.t_max)
+        w = z * c1 * exp_checked(k.theta(t), "deformed solution", t)
         if w >= 1.0:
             raise ValidityWindowError(t, t)
-        x = c1 * _exp_checked(theta(t), "deformed solution") * _shifted_log_ratio(w)
-        g = _exp_checked(gamma(t), "deformed solution")
+        x = c1 * exp_checked(k.theta(t), "deformed solution", t) * _shifted_log_ratio(w)
+        g = exp_checked(k.gamma(t), "deformed solution", t)
         if g == 0.0:
             raise ExpOverflowError(f"deformed solution: exp(-Gamma) overflowed at t={t!r}")
-        y = (c2 + forced(t)) / g
+        y = (c2 + k.forced(t)) / g
         return finite_state(CanonicalState, x, y, t)
 
     return evaluate
@@ -377,7 +309,7 @@ def deformed_sis_rhs(
             state=s,
         )
     w = sys.z * d / s.p
-    e = _exp_checked(w, "deformed_sis_rhs")
+    e = exp_checked(w, "deformed_sis_rhs")
     ph = _phi(w)
     su = qp2 + 1.0
     r = sys.base.rho0(t)
@@ -407,41 +339,26 @@ def deformed_sis_solution_evaluator(
     deformed solution with the chart map; the two agree wherever both
     are defined.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     z = sys.z
     c1, c2 = constants.c1, constants.c2
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
     a = sys.base.a
-    theta = cumulative(sys.base.rho0, a, 0.5 * tol)
-    scanner = _WindowScanner(theta, z * c1, a)
-
-    def log_argument(u: float) -> float:
-        return 1.0 - z * c1 * _exp_checked(theta(u), "deformed SIS solution")
-
-    gamma = cumulative(lambda u: sys.base.rho0(u) / log_argument(u), a, 0.25 * tol)
-    forced = cumulative(
-        lambda u: _exp_checked(gamma(u), "deformed SIS solution") * sys.base.b(u),
-        a,
-        0.25 * tol,
-    )
+    k = BookIntegrals(sys.base.rho0, sys.base.b, a, tol, z * c1)
 
     def evaluate(t: float) -> EpidemicState:
-        if t >= a:
-            scanner.ensure_scanned(t)
-            if t >= scanner.t_max:
-                raise ValidityWindowError(t, scanner.t_max)
-        w = z * c1 * _exp_checked(theta(t), "deformed SIS solution")
+        if t >= a and t >= k.window_end(t):
+            raise ValidityWindowError(t, k.t_max)
+        w = z * c1 * exp_checked(k.theta(t), "deformed SIS solution", t)
         if w >= 1.0:
             raise ValidityWindowError(t, t)
         # x = -L/z stably; L = ln(1 - w)
-        x = c1 * _exp_checked(theta(t), "deformed SIS solution") * _shifted_log_ratio(w)
+        x = c1 * exp_checked(k.theta(t), "deformed SIS solution", t) * _shifted_log_ratio(w)
         # x^2 is a chart denominator below; it vanishes when x underflows too
         if x * x == 0.0:
             raise SingularLocusError(f"x(t) = {x!r} gives x^2 = 0 at t={t!r}")
-        decay = _exp_checked(-gamma(t), "deformed SIS solution")
-        i_t = c2 + forced(t)
+        decay = exp_checked(-k.gamma(t), "deformed SIS solution", t)
+        i_t = c2 + k.forced(t)
         y = decay * i_t
         locus = x * x * y * y - 1.0
         if abs(locus) < SINGULAR_LOCUS_TOLERANCE:
@@ -529,6 +446,6 @@ def deformed_commutator_defect(
         s,
         h,
     )
-    scale = _exp_checked(z * s.x, "deformed_commutator_defect")
+    scale = exp_checked(z * s.x, "deformed_commutator_defect")
     target = (0.0, scale)
     return max(abs(lie[0] - target[0]), abs(lie[1] - target[1]))

@@ -373,6 +373,8 @@ _SCENARIO_CHECKS = {"solution-residual": 20, "solution-symplectic": 25}
 def run_check(name: str, seed: int, count: int) -> CheckResult:
     if name not in ALL_CHECKS:
         raise KeyError(f"unknown check {name!r}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
     if name in _SCENARIO_CHECKS:
         count = min(count, _SCENARIO_CHECKS[name])
     return ALL_CHECKS[name](seed, count)

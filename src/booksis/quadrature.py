@@ -59,6 +59,13 @@ _WG = (
 )
 
 
+def _check_tolerance(tol: float) -> None:
+    # NaN or inf would let the refinement loop `while err_total > tol` stop
+    # at once and return the unrefined first estimate
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One Kronrod-15 panel on [lo, hi]; returns (value, error_estimate).
 
@@ -104,8 +111,7 @@ def integrate(
     :class:`QuadratureConvergenceError` when the panel budget runs out and
     :class:`NonFiniteIntegrandError` on a non-finite sample.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tolerance(tol)
     if not (lo <= hi):
         raise ValueError(f"integration bounds out of order: {lo!r} > {hi!r}")
     if lo == hi:
@@ -168,8 +174,7 @@ class CumulativeIntegral:
 
     def __init__(self, integrand: Callable[[float], float], base_point: float,
                  tol: float = DEFAULT_TOLERANCE):
-        if tol <= 0.0:
-            raise ValueError("tol must be positive")
+        _check_tolerance(tol)
         self.integrand = integrand
         self.base_point = float(base_point)
         self.tol = tol

@@ -32,9 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .canonical import CanonicalState, IntegrationConstants, finite_state
+from .canonical import (
+    BookIntegrals,
+    CanonicalState,
+    IntegrationConstants,
+    exp_checked,
+    finite_state,
+)
 from .errors import ExpOverflowError, SingularLocusError
-from .quadrature import DEFAULT_TOLERANCE, cumulative
+from .quadrature import DEFAULT_TOLERANCE
 from .timefn import CoefficientFunction
 
 __all__ = [
@@ -183,24 +189,14 @@ def sis_solution_evaluator(
         q(t) = I(t) exp(Theta(t)) / (I(t)^2 - c1^-2)
         p(t) = (c1 I(t)^2 - 1/c1) exp(-Theta(t))
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     c1, c2 = constants.c1, constants.c2
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero (x(t) would vanish identically)")
-    theta = cumulative(sys.rho0, sys.a, 0.5 * tol)
-
-    def growth(u: float) -> float:
-        try:
-            return math.exp(theta(u))
-        except OverflowError as exc:
-            raise ExpOverflowError(f"exp(Theta) overflowed at t={u!r}") from exc
-
-    forced = cumulative(lambda u: growth(u) * sys.b(u), sys.a, 0.5 * tol)
+    k = BookIntegrals(sys.rho0, sys.b, sys.a, tol)
 
     def evaluate(t: float) -> EpidemicState:
-        i_t = c2 + forced(t)
-        g = growth(t)
+        i_t = c2 + k.forced(t)
+        g = exp_checked(k.theta(t), "SIS solution", t)
         if g == 0.0:
             raise ExpOverflowError(f"exp(-Theta) overflowed at t={t!r}")
         # q^2 p^2 - 1 along the solution equals c1^2 I^2 - 1
@@ -241,10 +237,7 @@ def sis_constant_solution(
         raise ValueError("rho0 must be nonzero")
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
-    try:
-        g = math.exp(rho0 * t)
-    except OverflowError as exc:
-        raise ExpOverflowError(f"exp(rho0*t) overflowed at t={t!r}") from exc
+    g = exp_checked(rho0 * t, "constant-rate SIS solution", t)
     if g == 0.0:
         raise ExpOverflowError(f"exp(-rho0*t) overflowed at t={t!r}")
     k = g + c2 * rho0 - 1.0

@@ -28,6 +28,7 @@ from booksis.invariants import (
     order_or_floor,
     random_book_system,
     random_constants,
+    run_check,
 )
 from booksis.oracle import IntegratorConfig, OdeProblem, integrate_ode
 from booksis.timefn import CoefficientFunction as CF
@@ -150,6 +151,12 @@ class TestCommutator:
 
 
 class TestInvariants:
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_run_check_rejects_count(self, count):
+        # a check that samples nothing must not report PASS
+        with pytest.raises(ValueError):
+            run_check("solution-symplectic", 0, count)
+
     def test_solution_residual_on_random_scenarios(self):
         result = check_solution_residual(seed=7, count=100)
         assert result.passed, result

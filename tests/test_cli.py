@@ -313,6 +313,29 @@ class TestMainEntryPoint:
         assert main(["run", str(path)]) == EXIT_INPUT
         assert "nests deeper" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_run_rejects_tol(self, tmp_path, capsys, tol):
+        # NaN would pass whatever the deviation, -1 would always fail
+        path = write_scenario(tmp_path)
+        assert main(["run", str(path), f"--tol={tol}"]) == EXIT_INPUT
+        assert "tol must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", ["nan", "inf", "-inf", "0"])
+    def test_window_rejects_horizon(self, tmp_path, capsys, horizon):
+        # Theta = 0.5 (1 - cos t) stays below the edge ln(1/(z c1)): a scan
+        # to an infinite horizon would never return
+        doc = deformed_book_doc(z=0.5)
+        doc["coefficients"] = {"bA": "0.5*sin(t)", "bB": "1"}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        assert main(["window", str(path), f"--horizon={horizon}"]) == EXIT_INPUT
+        assert "--horizon must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_invariants_rejects_count(self, capsys, count):
+        assert main(["invariants", "--count", count]) == EXIT_INPUT
+        assert "--count must be at least 1" in capsys.readouterr().err
+
     def test_window_verb(self, tmp_path, capsys):
         doc = deformed_book_doc(z=1.0)
         doc["coefficients"] = {"bA": "1", "bB": "1"}

@@ -39,7 +39,14 @@ from booksis.invariants import (
     random_epidemic_state,
 )
 from booksis.oracle import IntegratorConfig, OdeProblem, integrate_ode
-from booksis.sis import EpidemicState, SisSystem, from_canonical, sis_rhs, to_canonical
+from booksis.sis import (
+    EpidemicState,
+    SisSystem,
+    from_canonical,
+    sis_rhs,
+    sis_solution_evaluator,
+    to_canonical,
+)
 from booksis.timefn import CoefficientFunction as CF
 
 
@@ -218,6 +225,88 @@ class TestValidityWindow:
         w = validity_window(deformed_book(1.0, 1.0, 1.0), 0.5, 5.0)
         assert w.contains(0.5)
         assert not w.contains(0.7)
+
+
+class TestIntegralKernel:
+    """The deformed evaluators and the window share the classical forms'
+    integral kernel, canonical.BookIntegrals."""
+
+    @staticmethod
+    def seasonal(b_a=None):
+        return BookSystem(b_a or CF.from_text("0.5 + 0.3*sin(t)"), CF.constant(0.5), 0.0)
+
+    def test_zero_z_matches_classical_bit_for_bit(self):
+        base = self.seasonal()
+        c = IntegrationConstants(0.4, 0.8)
+        classical = solution_evaluator(base, c)
+        deformed = deformed_solution_evaluator(DeformedBookSystem(base, 0.0), c)
+        for t in np.linspace(0.0, 3.0, 61):
+            assert deformed(float(t)) == classical(float(t))
+
+    def test_zero_z_costs_no_more_than_classical(self):
+        def counted_system():
+            b_a = CF.from_text("0.5 + 0.3*sin(t)")
+            calls = [0]
+
+            def counting(t):
+                calls[0] += 1
+                return b_a(t)
+
+            return self.seasonal(counting), calls
+
+        c = IntegrationConstants(0.4, 0.8)
+        grid = [float(t) for t in np.linspace(0.0, 3.0, 61)]
+        base, classical_calls = counted_system()
+        classical = solution_evaluator(base, c)
+        for t in grid:
+            classical(t)
+        base, deformed_calls = counted_system()
+        deformed = deformed_solution_evaluator(DeformedBookSystem(base, 0.0), c)
+        for t in grid:
+            deformed(t)
+        assert 0 < deformed_calls[0] <= classical_calls[0]
+
+    def test_evaluator_and_window_agree(self):
+        sysd = DeformedBookSystem(
+            BookSystem(CF.from_text("0.5 + sin(t)"), CF.constant(1.0), 0.0), 1.0
+        )
+        c = IntegrationConstants(0.3, 1.0)
+        window = validity_window(sysd, c.c1, 6.0)
+        assert math.isfinite(window.t_max)
+        # a fresh evaluator scans the same Theta cache state: same bits
+        with pytest.raises(ValidityWindowError) as err:
+            deformed_solution_evaluator(sysd, c)(6.0)
+        assert err.value.t_max == window.t_max
+        # after a sweep inside the window the edge agrees to the bisection tolerance
+        evaluate = deformed_solution_evaluator(sysd, c)
+        for t in np.linspace(0.0, 0.9 * window.t_max, 11):
+            evaluate(float(t))
+        with pytest.raises(ValidityWindowError) as err:
+            evaluate(6.0)
+        assert err.value.t_max == pytest.approx(window.t_max, abs=1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_every_evaluator_rejects_tolerance(self, tol):
+        book_sys = self.seasonal()
+        sis_sys = SisSystem(CF.from_text("0.5 + 0.3*sin(t)"), CF.constant(0.5), 0.0)
+        c = IntegrationConstants(0.4, 0.8)
+        factories = [
+            lambda: solution_evaluator(book_sys, c, tol),
+            lambda: sis_solution_evaluator(sis_sys, c, tol),
+            lambda: deformed_solution_evaluator(DeformedBookSystem(book_sys, 0.1), c, tol),
+            lambda: deformed_sis_solution_evaluator(DeformedSisSystem(sis_sys, 0.1), c, tol),
+            lambda: validity_window(DeformedBookSystem(book_sys, 0.1), c.c1, 3.0, tol),
+        ]
+        for build in factories:
+            with pytest.raises(ValueError):
+                build()
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "base-point", "before-base"])
+    def test_window_rejects_horizon(self, horizon):
+        with pytest.raises(ValueError):
+            validity_window(deformed_book(1.0, 1.0, 1.0), 0.5, horizon)
 
 
 class TestDeformedSisHamiltonians:

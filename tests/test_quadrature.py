@@ -65,6 +65,14 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(math.sin, 0.0, 1.0, -1e-10)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_rejects_tolerance(self, tol):
+        # a NaN or inf tol would end refinement at once and return the
+        # unrefined first estimate (0.46859 here against 0.50254)
+        with pytest.raises(ValueError):
+            integrate(lambda s: math.sin(30.0 * s) ** 2, 0.0, 1.0, tol)
+
     def test_non_finite_sample(self):
         def f(s):
             return math.inf if s > 1.0 else 0.0
@@ -81,6 +89,12 @@ class TestIntegrate:
 
 
 class TestCumulative:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_rejects_tolerance(self, tol):
+        with pytest.raises(ValueError):
+            cumulative(math.sin, 0.0, tol)
+
     def test_zero_at_base_point(self):
         F = cumulative(math.sin, 1.7, 1e-10)
         assert F(1.7) == 0.0
