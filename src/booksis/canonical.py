@@ -86,7 +86,7 @@ class BookSystem:
     a: float = 0.0
 
     def __post_init__(self):
-        # the base point must be evaluable (inside any domain hints)
+        # the coefficients must be finite at the base point
         self.b_a(self.a)
         self.b_b(self.a)
 
@@ -203,7 +203,10 @@ class BookIntegrals:
 
     def window_end(self, t: float) -> float:
         """Extend the sign scan to ``t`` and return t_max, which stays
-        inf while no window edge lies in [a, t]."""
+        inf while no window edge lies in [a, t]; a non-finite ``t`` raises
+        ``ValueError``, as the scan to it would never end."""
+        if not math.isfinite(t):
+            raise ValueError(f"evaluation time must be finite, got {t!r}")
         if self.z_c1 <= 0.0 or not math.isinf(self.t_max):
             return self.t_max
         while self._scanned_to < t and math.isinf(self.t_max):

@@ -426,12 +426,9 @@ def run_scenario(
     method: str = "adaptive",
     tol: float | None = None,
     out_dir: str | Path | None = None,
-    fmt: str = "csv",
 ) -> tuple[Trajectory, dict, int]:
     """Execute one scenario; returns (trajectory, report, exit_code) and
     writes CSV/report files when ``out_dir`` is given."""
-    if fmt != "csv":
-        raise ScenarioError(f"unsupported output format {fmt!r}")
     scenario = load_scenario(path)
     adapter = build_adapter(scenario)
     if tol is None:
@@ -486,7 +483,7 @@ def run_scenario(
             problem = oracle.OdeProblem(rhs=vector_rhs, t0=scenario.t_start,
                                         state0=state0, t_end=times[-1])
             solution = oracle.integrate_ode(problem, config, times)
-            return [solution.states[i] for i in range(len(times))], dict(solution.stats)
+            return list(solution.states), dict(solution.stats)
 
         try:
             numeric_states, solver_stats = integrate(evaluated_times)
@@ -685,8 +682,7 @@ def _sweep_exact(adapter: Model, scenario: Scenario, grid: list[float]):
 
 def _cmd_run(args) -> int:
     _, md, code = run_scenario(
-        args.scenario, method=args.method, tol=args.tol,
-        out_dir=args.output, fmt=args.format,
+        args.scenario, method=args.method, tol=args.tol, out_dir=args.output,
     )
     print(f"model={md['model']} samples={md['samples_evaluated']} "
           f"max_deviation={md['max_deviation']:.3e} "
@@ -762,7 +758,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="override the scenario deviation tolerance")
     p_run.add_argument("--method", choices=("adaptive", "fixed"), default="adaptive")
     p_run.add_argument("--output", default=None, help="directory for CSV/report files")
-    p_run.add_argument("--format", default="csv", choices=("csv",))
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="deformation-parameter sweep")

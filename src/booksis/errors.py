@@ -52,7 +52,8 @@ class ArityMismatchError(ExpressionError):
 
 class EvaluationDomainError(BooksisError):
     """Coefficient evaluation left its mathematical domain (log of a
-    non-positive value, division by zero, overflow, domain-hint exit)."""
+    non-positive value, division by zero, overflow, sin or cos of an
+    infinite argument, a non-finite value)."""
 
     def __init__(self, message: str, t: float, subexpression: str):
         super().__init__(f"{message} at t={t!r} in '{subexpression}'")

@@ -119,6 +119,29 @@ def order_or_floor(defect_h: float, defect_half: float) -> tuple[float, bool]:
     return math.log2(defect_h / defect_half), True
 
 
+def _locus_step(u: float, v: float) -> float:
+    """Central-difference step at (u, v) for the SIS chart maps, which
+    degenerate on the locus u^2 v^2 = 1: their derivatives grow like
+    inverse powers of the distance d, so the step shrinks with it."""
+    d = abs(u * u * v * v - 1.0)
+    grad = 2.0 * max(abs(u) * v * v, u * u * abs(v)) + 1e-12
+    return min(1e-5 * max(1.0, abs(u), abs(v)), 3e-5 * d / grad)
+
+
+def _jacobian_det(plane_map, u: float, v: float, h: float) -> float:
+    """Central-difference Jacobian determinant of (u, v) -> plane_map(u, v)."""
+    xup, yup = plane_map(u + h, v)
+    xum, yum = plane_map(u - h, v)
+    xvp, yvp = plane_map(u, v + h)
+    xvm, yvm = plane_map(u, v - h)
+    return ((xup - xum) * (yvp - yvm) - (xvp - xvm) * (yup - yum)) / (4.0 * h * h)
+
+
+def _sis_chart(q: float, p: float) -> tuple[float, float]:
+    c = sis.to_canonical(EpidemicState(q, p))
+    return c.x, c.y
+
+
 # --- individual checks ----------------------------------------------------------
 
 def check_chart_round_trip(seed: int, count: int) -> CheckResult:
@@ -134,29 +157,13 @@ def check_chart_round_trip(seed: int, count: int) -> CheckResult:
 
 
 def check_chart_canonicity(seed: int, count: int) -> CheckResult:
-    """Jacobian determinant of (q, p) -> (x, y) equals 1 to 1e-6.
-
-    The chart's derivatives grow like inverse powers of the locus
-    distance d = q^2 p^2 - 1, so the stencil step shrinks near the locus
-    to keep the truncation error resolvable.
-    """
+    """Jacobian determinant of (q, p) -> (x, y) equals 1 to 1e-6, with the
+    locus-aware stencil step."""
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(count):
         s = random_epidemic_state(rng)
-        d = abs(s.q * s.q * s.p * s.p - 1.0)
-        grad = 2.0 * max(abs(s.q) * s.p * s.p, s.q * s.q * abs(s.p)) + 1e-12
-        h = min(1e-5 * max(1.0, abs(s.q), abs(s.p)), 3e-5 * d / grad)
-
-        def chart(q, p):
-            c = sis.to_canonical(EpidemicState(q, p))
-            return c.x, c.y
-
-        xqp, yqp = chart(s.q + h, s.p)
-        xqm, yqm = chart(s.q - h, s.p)
-        xpp, ypp = chart(s.q, s.p + h)
-        xpm, ypm = chart(s.q, s.p - h)
-        det = ((xqp - xqm) * (ypp - ypm) - (xpp - xpm) * (yqp - yqm)) / (4.0 * h * h)
+        det = _jacobian_det(_sis_chart, s.q, s.p, _locus_step(s.q, s.p))
         worst = max(worst, abs(det - 1.0))
     return CheckResult("chart-canonicity", count, worst, 1e-6, worst <= 1e-6)
 
@@ -239,11 +246,8 @@ def check_sis_pushforward(seed: int, count: int) -> CheckResult:
         t = rng.uniform(0.0, 5.0)
         c = sis.to_canonical(s)
         velocity = canonical.rhs(book, t, c)
-        # locus-aware stencil: the inverse chart degenerates at x^2 y^2 = 1
-        d = abs(c.x * c.x * c.y * c.y - 1.0)
-        grad = 2.0 * max(abs(c.x) * c.y * c.y, c.x * c.x * abs(c.y)) + 1e-12
-        h = min(1e-5 * max(1.0, abs(c.x), abs(c.y)), 3e-5 * d / grad)
-        dq_fd, dp_fd = _pushforward_from_canonical(c, velocity, h)
+        # the inverse chart degenerates at x^2 y^2 = 1
+        dq_fd, dp_fd = _pushforward_from_canonical(c, velocity, _locus_step(c.x, c.y))
         dq, dp = sis.sis_rhs(sys_c, t, s)
         scale = max(1.0, abs(dq), abs(dp))
         worst = max(worst, abs(dq - dq_fd) / scale, abs(dp - dp_fd) / scale)
@@ -337,18 +341,12 @@ def check_solution_symplectic(seed: int, count: int) -> CheckResult:
         book = random_book_system(rng)
         c = random_constants(rng)
         t = rng.uniform(0.5, 4.0)
-        h = 1e-4
 
         def flow(c1, c2):
             s = canonical.exact_solution(book, IntegrationConstants(c1, c2), t, tol=1e-12)
             return s.x, s.y
 
-        x1p, y1p = flow(c.c1 + h, c.c2)
-        x1m, y1m = flow(c.c1 - h, c.c2)
-        x2p, y2p = flow(c.c1, c.c2 + h)
-        x2m, y2m = flow(c.c1, c.c2 - h)
-        det = ((x1p - x1m) * (y2p - y2m) - (x2p - x2m) * (y1p - y1m)) / (4.0 * h * h)
-        worst = max(worst, abs(det - 1.0))
+        worst = max(worst, abs(_jacobian_det(flow, c.c1, c.c2, 1e-4) - 1.0))
     return CheckResult("solution-symplectic", count, worst, 1e-6, worst <= 1e-6)
 
 

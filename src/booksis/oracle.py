@@ -6,9 +6,10 @@ with them.  Two methods are provided on purpose -- a fixed-step
 classical 4th-order scheme and an embedded adaptive 4(5) pair -- so a
 bug in one cannot silently confirm itself through the other.
 
-States are 1-D numpy arrays; sampling between accepted steps uses cubic
-Hermite interpolation on the stored endpoint derivatives (4th-order
-accurate, matching the integrator orders).
+Both methods are generators of accepted steps, and :func:`integrate_ode`
+alone places the samples.  States are 1-D numpy arrays; sampling between
+accepted steps uses cubic Hermite interpolation on the endpoint
+derivatives (4th-order accurate, matching the integrator orders).
 
 When the right-hand side blows up (singularity, validity-window edge)
 the adaptive method keeps rejecting and shrinking the step until the
@@ -120,18 +121,6 @@ class OdeSolution:
     states: np.ndarray  # shape (len(times), dim)
     stats: dict = field(default_factory=dict)
 
-    def state_at(self, i: int) -> np.ndarray:
-        return self.states[i]
-
-
-def _eval_rhs(rhs: Rhs, t: float, y: np.ndarray, dim: int) -> np.ndarray:
-    f = np.asarray(rhs(t, y), dtype=float).reshape(-1)
-    if f.shape[0] != dim:
-        raise ValueError(
-            f"rhs returned dimension {f.shape[0]}, expected {dim}"
-        )
-    return f
-
 
 def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> np.ndarray:
     """Cubic Hermite interpolant matching values and derivatives at both
@@ -150,7 +139,7 @@ def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> np.ndarray:
     )
 
 
-def _initial_step(rhs: Rhs, t0: float, y0: np.ndarray, f0: np.ndarray,
+def _initial_step(t0: float, y0: np.ndarray, f0: np.ndarray,
                   t_end: float, rtol: float, atol: float) -> float:
     """Cheap starting-step heuristic based on the initial derivative."""
     span = t_end - t0
@@ -186,32 +175,44 @@ def integrate_ode(
         raise ValueError("sample_times must lie within [t0, t_end]")
 
     if config.method == "fixed":
-        return _integrate_fixed(problem, config, ts)
-    return _integrate_adaptive(problem, config, ts)
+        stepper, stats = _integrate_fixed, {"steps": 0, "rhs_evals": 0}
+    else:
+        stepper, stats = _integrate_adaptive, {"steps": 0, "rejected": 0, "rhs_evals": 0}
+    dim = problem.state0.shape[0]
 
+    def eval_rhs(t: float, y: np.ndarray) -> np.ndarray:
+        stats["rhs_evals"] += 1
+        f = np.asarray(problem.rhs(t, y), dtype=float).reshape(-1)
+        if f.shape[0] != dim:
+            raise ValueError(
+                f"rhs returned dimension {f.shape[0]}, expected {dim}"
+            )
+        return f
 
-def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
-                     ts: list[float]) -> OdeSolution:
-    rhs = problem.rhs
-    y = problem.state0.copy()
-    dim = y.shape[0]
-    t = problem.t0
-    span = problem.t_end - problem.t0
+    # each accepted step carries its endpoint values and derivatives; a
+    # sample is placed on the first step that reaches it
     out = np.empty((len(ts), dim))
     cursor = 0
-    n_evals = 0
-
-    def flush(t_prev, t_now, y_prev, y_now, f_prev, f_now):
-        nonlocal cursor
-        while cursor < len(ts) and ts[cursor] <= t_now + 1e-14 * max(1.0, abs(t_now)):
-            out[cursor] = _hermite(ts[cursor], t_prev, t_now, y_prev, y_now, f_prev, f_now)
+    for t, t_new, y, y_new, f, f_new in stepper(problem, config, eval_rhs, stats):
+        while cursor < len(ts) and ts[cursor] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+            out[cursor] = _hermite(ts[cursor], t, t_new, y, y_new, f, f_new)
             cursor += 1
+    out[cursor:] = y_new  # numerical slack at the right endpoint
+    return OdeSolution(np.asarray(ts), out, stats)
+
+
+# A stepper yields every accepted step as (t, t_new, y, y_new, f, f_new),
+# first a zero-length one at t0, and records its step counts in ``stats``.
+
+def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
+                     rhs: Rhs, stats: dict):
+    y = problem.state0.copy()
+    t = problem.t0
+    span = problem.t_end - problem.t0
 
     def checked(tv, yv):
-        nonlocal n_evals
-        n_evals += 1
         try:
-            f = _eval_rhs(rhs, tv, yv, dim)
+            f = rhs(tv, yv)
         except _RECOVERABLE as exc:
             raise NonFiniteRhsError(f"rhs failed: {exc}", t) from exc
         if not np.all(np.isfinite(f)):
@@ -219,13 +220,9 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
         return f
 
     f = checked(t, y)
-    # samples exactly at t0
-    while cursor < len(ts) and ts[cursor] <= t + 1e-14 * max(1.0, abs(t)):
-        out[cursor] = y
-        cursor += 1
-
+    yield t, t, y, y, f, f
     if span == 0.0:
-        return OdeSolution(np.asarray(ts), out, {"steps": 0, "rhs_evals": n_evals})
+        return
 
     n_steps = max(1, math.ceil(span / config.step))
     if n_steps > config.max_steps:
@@ -243,51 +240,31 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
             raise NonFiniteRhsError("state became non-finite", t)
         t_next = problem.t0 + (k + 1) * h if k + 1 < n_steps else problem.t_end
         f_next = checked(t_next, y_next)
-        flush(t, t_next, y, y_next, f, f_next)
+        yield t, t_next, y, y_next, f, f_next
         t, y, f = t_next, y_next, f_next
-
-    while cursor < len(ts):  # numerical slack at the right endpoint
-        out[cursor] = y
-        cursor += 1
-    return OdeSolution(np.asarray(ts), out, {"steps": n_steps, "rhs_evals": n_evals})
+    stats["steps"] = n_steps
 
 
 def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
-                        ts: list[float]) -> OdeSolution:
-    rhs = problem.rhs
+                        rhs: Rhs, stats: dict):
     y = problem.state0.copy()
     dim = y.shape[0]
     t = problem.t0
     t_end = problem.t_end
-    out = np.empty((len(ts), dim))
-    cursor = 0
-    n_evals = 0
     n_accepted = 0
     n_rejected = 0
 
-    def raw(tv, yv):
-        nonlocal n_evals
-        n_evals += 1
-        return _eval_rhs(rhs, tv, yv, dim)
-
-    while cursor < len(ts) and ts[cursor] <= t + 1e-14 * max(1.0, abs(t)):
-        out[cursor] = y
-        cursor += 1
-
     try:
-        f = raw(t, y)
+        f = rhs(t, y)
     except _RECOVERABLE as exc:
         raise NonFiniteRhsError(f"rhs failed at the initial state: {exc}", t) from exc
     if not np.all(np.isfinite(f)):
         raise NonFiniteRhsError("rhs non-finite at the initial state", t)
-
+    yield t, t, y, y, f, f
     if t_end == t:
-        return OdeSolution(
-            np.asarray(ts), out,
-            {"steps": 0, "rejected": 0, "rhs_evals": n_evals},
-        )
+        return
 
-    h = _initial_step(rhs, t, y, f, t_end, config.rtol, config.atol)
+    h = _initial_step(t, y, f, t_end, config.rtol, config.atol)
     h = max(h, 16.0 * math.ulp(max(abs(t), 1.0)))
     k = [np.empty(dim) for _ in range(7)]
 
@@ -311,7 +288,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
                 for j, aij in enumerate(_DP_A[i]):
                     if aij != 0.0:
                         yi += (h * aij) * k[j]
-                k[i] = raw(t + _DP_C[i] * h, yi)
+                k[i] = rhs(t + _DP_C[i] * h, yi)
                 if not np.all(np.isfinite(k[i])):
                     failed = True
                     break
@@ -342,9 +319,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         # accepted; k[6] is f(t+h, y_new) by the first-same-as-last property
         t_new = t + h
         f_new = k[6]
-        while cursor < len(ts) and ts[cursor] <= t_new + 1e-14 * max(1.0, abs(t_new)):
-            out[cursor] = _hermite(ts[cursor], t, t_new, y, y_new, f, f_new)
-            cursor += 1
+        yield t, t_new, y, y_new, f, f_new
         t, y, f = t_new, y_new, f_new
         n_accepted += 1
         if err == 0.0:
@@ -352,11 +327,5 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         else:
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         h *= factor
-
-    while cursor < len(ts):
-        out[cursor] = y
-        cursor += 1
-    return OdeSolution(
-        np.asarray(ts), out,
-        {"steps": n_accepted, "rejected": n_rejected, "rhs_evals": n_evals},
-    )
+    stats["steps"] = n_accepted
+    stats["rejected"] = n_rejected

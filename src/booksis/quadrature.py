@@ -108,11 +108,14 @@ def integrate(
     """Definite integral of ``f`` over [lo, hi] to absolute tolerance ``tol``.
 
     Adaptive worst-first bisection of Kronrod/Gauss panels.  Raises
-    :class:`QuadratureConvergenceError` when the panel budget runs out and
-    :class:`NonFiniteIntegrandError` on a non-finite sample.
+    :class:`QuadratureConvergenceError` when the panel budget runs out,
+    :class:`NonFiniteIntegrandError` on a non-finite sample and
+    ``ValueError`` for a non-finite or reversed bound.
     """
     _check_tolerance(tol)
-    if not (lo <= hi):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
+    if lo > hi:
         raise ValueError(f"integration bounds out of order: {lo!r} > {hi!r}")
     if lo == hi:
         return 0.0

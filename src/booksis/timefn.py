@@ -345,10 +345,13 @@ def _eval(node: ExpressionAst, t: float) -> float:
             raise EvaluationDomainError("overflow in power", t, to_text(node)) from exc
     if isinstance(node, Call):
         arg = _eval(node.arg, t)
-        if node.name == "sin":
-            return math.sin(arg)
-        if node.name == "cos":
-            return math.cos(arg)
+        if node.name == "sin" or node.name == "cos":
+            try:
+                return math.sin(arg) if node.name == "sin" else math.cos(arg)
+            except ValueError as exc:  # an infinite argument
+                raise EvaluationDomainError(
+                    f"{node.name} of {arg!r}", t, to_text(node)
+                ) from exc
         if node.name == "abs":
             return abs(arg)
         if node.name == "exp":
@@ -399,58 +402,58 @@ class CoefficientFunction:
     """A real-valued function of time ``t``.
 
     Instances come from the classmethod constructors.  They are callable:
-    ``f(t)`` evaluates the function.  ``domain_hint`` is an optional
-    closed interval of validity; evaluation outside it is rejected.
+    ``f(t)`` evaluates the function to a finite real or raises
+    :class:`EvaluationDomainError`.
     """
 
     definition: _Definition
-    domain_hint: tuple[float, float] | None = None
 
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def constant(cls, value: float, domain_hint=None) -> "CoefficientFunction":
-        return cls(_ConstantDef(float(value)), domain_hint)
+    def constant(cls, value: float) -> "CoefficientFunction":
+        return cls(_ConstantDef(float(value)))
 
     @classmethod
-    def linear(cls, slope: float, intercept: float, domain_hint=None) -> "CoefficientFunction":
+    def linear(cls, slope: float, intercept: float) -> "CoefficientFunction":
         """slope*t + intercept"""
-        return cls(_LinearDef(float(slope), float(intercept)), domain_hint)
+        return cls(_LinearDef(float(slope), float(intercept)))
 
     @classmethod
     def sinusoidal(cls, base: float, relative: float, frequency: float,
-                   phase: float = 0.0, domain_hint=None) -> "CoefficientFunction":
+                   phase: float = 0.0) -> "CoefficientFunction":
         """base*(1 + relative*sin(frequency*t + phase))"""
         return cls(
-            _SinusoidalDef(float(base), float(relative), float(frequency), float(phase)),
-            domain_hint,
+            _SinusoidalDef(float(base), float(relative), float(frequency), float(phase))
         )
 
     @classmethod
-    def from_text(cls, source: str, domain_hint=None) -> "CoefficientFunction":
-        return cls(_ExpressionDef(parse_expression(source)), domain_hint)
+    def from_text(cls, source: str) -> "CoefficientFunction":
+        return cls(_ExpressionDef(parse_expression(source)))
 
     @classmethod
-    def from_ast(cls, ast: ExpressionAst, domain_hint=None) -> "CoefficientFunction":
-        return cls(_ExpressionDef(ast), domain_hint)
+    def from_ast(cls, ast: ExpressionAst) -> "CoefficientFunction":
+        return cls(_ExpressionDef(ast))
 
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, t: float) -> float:
-        if self.domain_hint is not None:
-            lo, hi = self.domain_hint
-            if not (lo <= t <= hi):
-                raise EvaluationDomainError(
-                    f"t outside domain hint [{lo!r}, {hi!r}]", t, self.to_text()
-                )
         d = self.definition
+        if isinstance(d, _ExpressionDef):
+            return evaluate_ast(d.ast, t)  # checks its own result
         if isinstance(d, _ConstantDef):
-            return d.value
-        if isinstance(d, _LinearDef):
-            return d.slope * t + d.intercept
-        if isinstance(d, _SinusoidalDef):
-            return d.base * (1.0 + d.relative * math.sin(d.frequency * t + d.phase))
-        return evaluate_ast(d.ast, t)
+            v = d.value
+        elif isinstance(d, _LinearDef):
+            v = d.slope * t + d.intercept
+        else:
+            arg = d.frequency * t + d.phase
+            try:
+                v = d.base * (1.0 + d.relative * math.sin(arg))
+            except ValueError as exc:  # an infinite argument
+                raise EvaluationDomainError(f"sin of {arg!r}", t, self.to_text()) from exc
+        if not math.isfinite(v):
+            raise EvaluationDomainError("non-finite value", t, self.to_text())
+        return v
 
     # -- introspection ----------------------------------------------------
 

@@ -287,13 +287,18 @@ class TestMainEntryPoint:
             ("deformed-book", {"bA": "-800", "bB": "0"}, 0.1, "xy", [0.4, 0.8]),
             ("deformed-sis", {"rho0": "-800", "b": "1"}, 0.1, "qp", [2.0 / 3.0, 3.0]),
             ("book-canonical", {"bA": "1", "bB": "1e308"}, 0.0, "xy", [0.4, 0.8]),
+            # cos of an infinite argument at every t != 0
+            ("book-canonical", {"bA": "1", "bB": "cos(1e300*t*1e300)"}, 0.0, "xy",
+             [0.4, 0.8]),
         ],
         ids=["book-underflow", "sis-underflow", "sis-constant-underflow",
-             "deformed-book-underflow", "deformed-sis-underflow", "book-overflow"],
+             "deformed-book-underflow", "deformed-sis-underflow", "book-overflow",
+             "book-cos-overflow"],
     )
     def test_run_closed_form_out_of_range(self, tmp_path, capsys, model,
                                           coefficients, z, chart, values):
-        # exp(+-Theta) underflows or the forced integral overflows inside the grid
+        # exp(+-Theta) underflows, the forced integral overflows or a
+        # coefficient leaves its domain inside the grid
         path = write_scenario(
             tmp_path, model=model, coefficients=coefficients, z=z,
             initial={"chart": chart, "values": values},

@@ -308,6 +308,27 @@ class TestIntegralKernel:
         with pytest.raises(ValueError):
             validity_window(deformed_book(1.0, 1.0, 1.0), 0.5, horizon)
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("kind", ["book", "sis", "deformed-book", "deformed-sis"])
+    def test_every_evaluator_rejects_time(self, kind, t):
+        # Theta = 0.5*(1 - cos t) keeps z*c1*e^Theta <= 0.2e below 1, so the
+        # window never ends and a scan to t = inf would not return
+        b_a = CF.from_text("0.5*sin(t)")
+        book_sys = BookSystem(b_a, CF.constant(1.0), 0.0)
+        sis_sys = SisSystem(b_a, CF.constant(1.0), 0.0)
+        c = IntegrationConstants(0.4, 0.8)
+        evaluate = {
+            "book": lambda: solution_evaluator(book_sys, c),
+            "sis": lambda: sis_solution_evaluator(sis_sys, c),
+            "deformed-book": lambda: deformed_solution_evaluator(
+                DeformedBookSystem(book_sys, 0.5), c),
+            "deformed-sis": lambda: deformed_sis_solution_evaluator(
+                DeformedSisSystem(sis_sys, 0.5), c),
+        }[kind]()
+        with pytest.raises(ValueError):
+            evaluate(t)
+
 
 class TestDeformedSisHamiltonians:
     def test_classical_limit(self):

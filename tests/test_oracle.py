@@ -168,3 +168,32 @@ class TestHermiteSampling:
             exponential_problem(), IntegratorConfig(), [0.5, 0.5, 1.0]
         )
         assert sol.states[0][0] == sol.states[1][0]
+
+
+class TestSharedSampler:
+    """One driver places the samples of both steppers."""
+
+    STATS_KEYS = {
+        "adaptive": ["steps", "rejected", "rhs_evals"],
+        "fixed": ["steps", "rhs_evals"],
+    }
+
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    def test_zero_span_returns_state0(self, method):
+        state0 = np.array([0.1, -1.0 / 3.0])
+        problem = OdeProblem(rhs=lambda t, y: y.copy(), t0=0.7, state0=state0, t_end=0.7)
+        # the last sample lies in the 1e-12 slack past t_end
+        sol = integrate_ode(problem, IntegratorConfig(method=method), [0.7, 0.7, 0.7 + 1e-13])
+        for row in sol.states:
+            assert row.tobytes() == state0.tobytes()
+        assert sol.stats["steps"] == 0
+        assert list(sol.stats) == self.STATS_KEYS[method]
+
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    def test_sample_at_t0_is_state0(self, method):
+        problem = exponential_problem()
+        sol = integrate_ode(problem, IntegratorConfig(method=method), [0.0, 0.0, 0.5, 1.0])
+        assert sol.states[0].tobytes() == problem.state0.tobytes()
+        assert sol.states[1].tobytes() == problem.state0.tobytes()
+        assert sol.stats["steps"] > 0
+        assert list(sol.stats) == self.STATS_KEYS[method]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -128,11 +130,22 @@ class TestEvaluate:
         with pytest.raises(EvaluationDomainError):
             evaluate(f, 1.0)
 
-    def test_domain_hint(self):
-        f = CoefficientFunction.constant(1.0, domain_hint=(0.0, 10.0))
-        assert evaluate(f, 5.0) == 1.0
-        with pytest.raises(EvaluationDomainError):
-            evaluate(f, 11.0)
+    @pytest.mark.parametrize(
+        "f, t",
+        [
+            (CoefficientFunction.linear(1e308, 0.0), 10.0),
+            (CoefficientFunction.constant(math.inf), 0.0),
+            (CoefficientFunction.sinusoidal(1.0, 0.5, 1e308, 0.0), 10.0),
+            (CoefficientFunction.from_text("cos(1e308*t)"), 2.0),
+            (CoefficientFunction.from_text("sin(1e308*t)"), 2.0),
+        ],
+        ids=["linear-overflow", "constant-inf", "sinusoidal-inf-argument",
+             "cos-inf-argument", "sin-inf-argument"],
+    )
+    def test_non_finite_value_is_a_domain_error(self, f, t):
+        with pytest.raises(EvaluationDomainError) as err:
+            evaluate(f, t)
+        assert err.value.t == t
 
     def test_deterministic(self):
         f = CoefficientFunction.from_text("1 + 0.5*sin(2*t + 0.3)")
