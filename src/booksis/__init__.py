@@ -54,6 +54,6 @@ from .sis import (
     sis_rhs,
     to_canonical,
 )
-from .timefn import CoefficientFunction, evaluate, parse_expression
+from .timefn import CoefficientFunction, parse_expression
 
 __version__ = "0.1.0"

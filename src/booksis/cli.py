@@ -82,7 +82,10 @@ class Scenario:
 def _as_number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{label} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ScenarioError(f"{label} must be finite, got {value!r}")
     return v
@@ -191,7 +194,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer past int's digit limit
         raise ScenarioError(f"invalid JSON: {exc}") from exc
     return parse_scenario(data, name=path.stem)
 

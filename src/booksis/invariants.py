@@ -55,8 +55,9 @@ class CheckResult:
 # --- random generators -------------------------------------------------------
 
 def random_coefficient(rng: random.Random) -> CoefficientFunction:
-    """A random builtin coefficient family with amplitudes small enough to
-    keep exp(Theta) moderate over a few time units."""
+    """A random constant, linear or sinusoidal coefficient (each built as
+    a plain expression tree) with amplitudes small enough to keep
+    exp(Theta) moderate over a few time units."""
     kind = rng.choice(("constant", "linear", "sinusoidal"))
     if kind == "constant":
         return CoefficientFunction.constant(rng.uniform(-0.5, 0.5))

@@ -105,11 +105,12 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("adaptive", "fixed"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.rtol <= 0.0 or self.atol <= 0.0 or self.step <= 0.0:
+        # written as "not > 0" so that NaN is rejected too
+        if not (self.rtol > 0.0 and self.atol > 0.0 and self.step > 0.0):
             raise ValueError("tolerances and step must be positive")
-        if self.max_steps <= 0:
+        if not self.max_steps > 0:
             raise ValueError("max_steps must be positive")
-        if self.max_step <= 0.0:
+        if not self.max_step > 0.0:
             raise ValueError("max_step must be positive")
 
 

@@ -1,10 +1,13 @@
 """Time-dependent coefficient functions.
 
 Every non-autonomous system in this package is driven by real-valued
-coefficient functions of time.  A :class:`CoefficientFunction` is either a
-builtin family (constant, linear, sinusoidal) or a parsed arithmetic
-expression over ``t``.  Evaluation is pure and deterministic; values are
-immutable and safe to share across threads.
+coefficient functions of time.  A :class:`CoefficientFunction` holds one
+arithmetic expression tree over ``t``: parsed from text, or built by one of
+the constructors for the builtin families (constant, linear, sinusoidal),
+which are plain trees too.  Each tree is compiled once, at construction,
+into nested closures; there is no other evaluation path.  Evaluation is
+pure and deterministic; values are immutable and safe to share across
+threads.
 
 Expression grammar (whitespace insignificant)::
 
@@ -25,8 +28,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 from .errors import (
     ArityMismatchError,
@@ -44,8 +47,6 @@ __all__ = [
     "CoefficientFunction",
     "parse_expression",
     "to_text",
-    "evaluate_ast",
-    "evaluate",
     "FUNCTION_NAMES",
     "MAX_DEPTH",
 ]
@@ -122,8 +123,9 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 # Deepest expression the parser accepts, counted both as tree depth and as
 # grammar productions open at once.  The parser recurses a few frames per
-# level and the printer, evaluator and constant fold one frame per tree
-# level, so this stays far below the interpreter's recursion limit.
+# level, the compiler two, and the printer, the compiled closures and the
+# constant fold one frame per tree level, so this stays far below the
+# interpreter's recursion limit.
 MAX_DEPTH = 100
 
 
@@ -308,185 +310,186 @@ def to_text(node: ExpressionAst) -> str:
     return _render(node, _LVL_ADD)
 
 
-# --- evaluation ---------------------------------------------------------------
+# --- compilation ----------------------------------------------------------------
 
-def evaluate_ast(node: ExpressionAst, t: float) -> float:
-    v = _eval(node, t)
-    if not math.isfinite(v):
-        raise EvaluationDomainError("non-finite value", t, to_text(node))
-    return v
+# ``+ - *`` closures by operand shape: (neither operand, the left operand,
+# the right operand) a literal captured by value
+_ARITH = {
+    "+": (lambda f, g: lambda t: f(t) + g(t),
+          lambda a, g: lambda t: a + g(t),
+          lambda f, b: lambda t: f(t) + b),
+    "-": (lambda f, g: lambda t: f(t) - g(t),
+          lambda a, g: lambda t: a - g(t),
+          lambda f, b: lambda t: f(t) - b),
+    "*": (lambda f, g: lambda t: f(t) * g(t),
+          lambda a, g: lambda t: a * g(t),
+          lambda f, b: lambda t: f(t) * b),
+}
 
 
-def _eval(node: ExpressionAst, t: float) -> float:
+def _compile(node: ExpressionAst) -> Callable[[float], float]:
+    """Nested closures that evaluate ``node`` at ``t``, operands left to
+    right.  A node outside its domain raises :class:`EvaluationDomainError`
+    carrying the node's text; the root's finite check is the caller's."""
     if isinstance(node, Literal):
-        return node.value
+        value = node.value
+        return lambda t: value
     if isinstance(node, TimeVar):
-        return t
+        return lambda t: t
     if isinstance(node, Neg):
-        return -_eval(node.operand, t)
+        operand = _compile(node.operand)
+        return lambda t: -operand(t)
     if isinstance(node, BinOp):
-        a = _eval(node.left, t)
-        b = _eval(node.right, t)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
+        return _compile_binop(node)
+    if isinstance(node, Call) and node.name in FUNCTION_NAMES:
+        return _compile_call(node)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile_binop(node: BinOp) -> Callable[[float], float]:
+    left, right = node.left, node.right
+    # c*t, c*t + d and a + b*x, the shapes the builtin families are made
+    # of, are one closure each
+    if _is_scaled(node) and isinstance(right, TimeVar):
+        c = left.value
+        return lambda t: c * t
+    if (node.op == "+" and _is_scaled(left) and isinstance(left.right, TimeVar)
+            and isinstance(right, Literal)):
+        c, d = left.left.value, right.value
+        return lambda t: c * t + d
+    if node.op == "+" and isinstance(left, Literal) and _is_scaled(right):
+        a, b, g = left.value, right.left.value, _compile(right.right)
+        return lambda t: a + b * g(t)
+    if node.op in _ARITH:
+        both, literal_left, literal_right = _ARITH[node.op]
+        if isinstance(left, Literal):
+            return literal_left(left.value, _compile(right))
+        if isinstance(right, Literal):
+            return literal_right(_compile(left), right.value)
+        return both(_compile(left), _compile(right))
+    f, g = _compile(left), _compile(right)
+    if node.op == "/":
+        def divide(t):
+            a = f(t)
+            b = g(t)
             if b == 0.0:
                 raise EvaluationDomainError("division by zero", t, to_text(node))
             return a / b
+        return divide
+
+    def power(t):
+        a = f(t)
+        b = g(t)
         try:
             return math.pow(a, b)
         except (ValueError, ZeroDivisionError) as exc:
             raise EvaluationDomainError(str(exc), t, to_text(node)) from exc
         except OverflowError as exc:
             raise EvaluationDomainError("overflow in power", t, to_text(node)) from exc
-    if isinstance(node, Call):
-        arg = _eval(node.arg, t)
-        if node.name == "sin" or node.name == "cos":
+    return power
+
+
+def _is_scaled(node: ExpressionAst) -> bool:
+    """Whether ``node`` is ``c*x`` with ``c`` a literal."""
+    return isinstance(node, BinOp) and node.op == "*" and isinstance(node.left, Literal)
+
+
+def _compile_call(node: Call) -> Callable[[float], float]:
+    name = node.name
+    arg = _compile(node.arg)
+    if name == "sin" or name == "cos":
+        fn = math.sin if name == "sin" else math.cos
+
+        def trig(t):
+            x = arg(t)
             try:
-                return math.sin(arg) if node.name == "sin" else math.cos(arg)
+                return fn(x)
             except ValueError as exc:  # an infinite argument
-                raise EvaluationDomainError(
-                    f"{node.name} of {arg!r}", t, to_text(node)
-                ) from exc
-        if node.name == "abs":
-            return abs(arg)
-        if node.name == "exp":
+                raise EvaluationDomainError(f"{name} of {x!r}", t, to_text(node)) from exc
+        return trig
+    if name == "abs":
+        return lambda t: abs(arg(t))
+    if name == "exp":
+        def exp(t):
+            x = arg(t)
             try:
-                return math.exp(arg)
+                return math.exp(x)
             except OverflowError as exc:
                 raise EvaluationDomainError("overflow in exp", t, to_text(node)) from exc
-        # ln
-        if arg <= 0.0:
+        return exp
+
+    def ln(t):
+        x = arg(t)
+        if x <= 0.0:
             raise EvaluationDomainError(
-                f"ln of non-positive argument {arg!r}", t, to_text(node)
+                f"ln of non-positive argument {x!r}", t, to_text(node)
             )
-        return math.log(arg)
-    raise TypeError(f"not an expression node: {node!r}")
+        return math.log(x)
+    return ln
 
 
 # --- coefficient functions -----------------------------------------------------
 
 @dataclass(frozen=True)
-class _ConstantDef:
-    value: float
-
-
-@dataclass(frozen=True)
-class _LinearDef:
-    slope: float
-    intercept: float
-
-
-@dataclass(frozen=True)
-class _SinusoidalDef:
-    base: float       # c0
-    relative: float   # epsilon
-    frequency: float  # omega
-    phase: float      # phi
-
-
-@dataclass(frozen=True)
-class _ExpressionDef:
-    ast: ExpressionAst
-
-
-_Definition = Union[_ConstantDef, _LinearDef, _SinusoidalDef, _ExpressionDef]
-
-
-@dataclass(frozen=True)
 class CoefficientFunction:
-    """A real-valued function of time ``t``.
+    """A real-valued function of time ``t``, held as its expression tree.
 
-    Instances come from the classmethod constructors.  They are callable:
+    The tree is compiled once, at construction.  Instances are callable:
     ``f(t)`` evaluates the function to a finite real or raises
     :class:`EvaluationDomainError`.
     """
 
-    definition: _Definition
+    ast: ExpressionAst
+    _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", _compile(self.ast))
+
+    def __reduce__(self):  # closures do not pickle; the tree does
+        return (CoefficientFunction, (self.ast,))
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def constant(cls, value: float) -> "CoefficientFunction":
-        return cls(_ConstantDef(float(value)))
+        return cls(Literal(float(value)))
 
     @classmethod
     def linear(cls, slope: float, intercept: float) -> "CoefficientFunction":
         """slope*t + intercept"""
-        return cls(_LinearDef(float(slope), float(intercept)))
+        return cls(BinOp("+", BinOp("*", Literal(float(slope)), TimeVar()),
+                         Literal(float(intercept))))
 
     @classmethod
     def sinusoidal(cls, base: float, relative: float, frequency: float,
                    phase: float = 0.0) -> "CoefficientFunction":
         """base*(1 + relative*sin(frequency*t + phase))"""
-        return cls(
-            _SinusoidalDef(float(base), float(relative), float(frequency), float(phase))
-        )
+        inner = BinOp("+", BinOp("*", Literal(float(frequency)), TimeVar()),
+                      Literal(float(phase)))
+        return cls(BinOp("*", Literal(float(base)), BinOp(
+            "+", Literal(1.0), BinOp("*", Literal(float(relative)), Call("sin", inner)))))
 
     @classmethod
     def from_text(cls, source: str) -> "CoefficientFunction":
-        return cls(_ExpressionDef(parse_expression(source)))
-
-    @classmethod
-    def from_ast(cls, ast: ExpressionAst) -> "CoefficientFunction":
-        return cls(_ExpressionDef(ast))
+        return cls(parse_expression(source))
 
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, t: float) -> float:
-        d = self.definition
-        if isinstance(d, _ExpressionDef):
-            return evaluate_ast(d.ast, t)  # checks its own result
-        if isinstance(d, _ConstantDef):
-            v = d.value
-        elif isinstance(d, _LinearDef):
-            v = d.slope * t + d.intercept
-        else:
-            arg = d.frequency * t + d.phase
-            try:
-                v = d.base * (1.0 + d.relative * math.sin(arg))
-            except ValueError as exc:  # an infinite argument
-                raise EvaluationDomainError(f"sin of {arg!r}", t, self.to_text()) from exc
+        v = self._compiled(t)
         if not math.isfinite(v):
-            raise EvaluationDomainError("non-finite value", t, self.to_text())
+            raise EvaluationDomainError("non-finite value", t, to_text(self.ast))
         return v
 
     # -- introspection ----------------------------------------------------
 
-    def as_expression(self) -> ExpressionAst:
-        """Expression-tree equivalent of this function (identity for
-        expression-backed instances)."""
-        d = self.definition
-        if isinstance(d, _ExpressionDef):
-            return d.ast
-        if isinstance(d, _ConstantDef):
-            return Literal(d.value)
-        if isinstance(d, _LinearDef):
-            return BinOp("+", BinOp("*", Literal(d.slope), TimeVar()), Literal(d.intercept))
-        # base*(1 + relative*sin(frequency*t + phase))
-        inner = BinOp("+", BinOp("*", Literal(d.frequency), TimeVar()), Literal(d.phase))
-        return BinOp(
-            "*",
-            Literal(d.base),
-            BinOp("+", Literal(1.0), BinOp("*", Literal(d.relative), Call("sin", inner))),
-        )
-
     def to_text(self) -> str:
-        return to_text(self.as_expression())
+        return to_text(self.ast)
 
     def is_constant(self) -> bool:
-        d = self.definition
-        if isinstance(d, _ConstantDef):
-            return True
-        if isinstance(d, _LinearDef):
-            return d.slope == 0.0
-        if isinstance(d, _SinusoidalDef):
-            return d.relative == 0.0 or (d.frequency == 0.0 and d.phase == 0.0)
-        return _is_constant_ast(d.ast)
+        """Whether the tree has no ``t`` in it.  The test is syntactic:
+        ``linear(0, c)`` is not constant."""
+        return _is_constant_ast(self.ast)
 
 
 def _is_constant_ast(node: ExpressionAst) -> bool:
@@ -499,8 +502,3 @@ def _is_constant_ast(node: ExpressionAst) -> bool:
     if isinstance(node, BinOp):
         return _is_constant_ast(node.left) and _is_constant_ast(node.right)
     return _is_constant_ast(node.arg)
-
-
-def evaluate(f: CoefficientFunction, t: float) -> float:
-    """Evaluate ``f`` at time ``t``; always a finite real or a typed error."""
-    return f(t)

@@ -325,6 +325,31 @@ class TestMainEntryPoint:
         assert main(["run", str(path), f"--tol={tol}"]) == EXIT_INPUT
         assert "tol must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, digits, message",
+        [
+            ("z", 400, "z must be finite"),
+            ("initial", 400, "initial.values[0] must be finite"),
+            ("t_end", 400, "grid.t_end must be finite"),
+            # past Python's 4300-digit limit json.loads itself refuses it
+            ("z", 5000, "invalid JSON"),
+        ],
+        ids=["z", "initial-value", "t-end", "past-digit-limit"],
+    )
+    def test_run_rejects_huge_integer(self, tmp_path, capsys, field, digits, message):
+        # an integer too large for a float
+        doc = deformed_book_doc()
+        if field == "z":
+            doc["z"] = 7.25
+        elif field == "initial":
+            doc["initial"]["values"][0] = 7.25
+        else:
+            doc["grid"]["t_end"] = 7.25
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc).replace("7.25", "9" * digits))
+        assert main(["run", str(path)]) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("horizon", ["nan", "inf", "-inf", "0"])
     def test_window_rejects_horizon(self, tmp_path, capsys, horizon):
         # Theta = 0.5 (1 - cos t) stays below the edge ln(1/(z c1)): a scan

@@ -80,6 +80,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             IntegratorConfig(method="leapfrog")
 
+    @pytest.mark.parametrize("field", ["rtol", "atol", "step", "max_step", "max_steps"])
+    def test_nan_setting_rejected(self, field):
+        # NaN <= 0 is False, so a sign test alone lets NaN through
+        with pytest.raises(ValueError):
+            IntegratorConfig(**{field: math.nan})
+
+    def test_unbounded_max_step_accepted(self):
+        sol = integrate_ode(exponential_problem(), IntegratorConfig(max_step=math.inf), [1.0])
+        assert sol.states[0][0] == pytest.approx(math.e, rel=1e-9)
+
     def test_reversed_time_rejected(self):
         with pytest.raises(ValueError):
             OdeProblem(rhs=lambda t, y: y, t0=1.0, state0=np.array([1.0]), t_end=0.0)

@@ -1,4 +1,7 @@
 import math
+import operator
+import pickle
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,8 +21,6 @@ from booksis.timefn import (
     MAX_DEPTH,
     Neg,
     TimeVar,
-    evaluate,
-    evaluate_ast,
     parse_expression,
     to_text,
 )
@@ -36,7 +37,7 @@ class TestParser:
         )
 
     def test_power_precedence(self):
-        assert evaluate_ast(parse_expression("2*t^3"), 2.0) == 16.0
+        assert CoefficientFunction.from_text("2*t^3")(2.0) == 16.0
 
     def test_function_requires_parentheses(self):
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -68,16 +69,16 @@ class TestParser:
             parse_expression("(1 + 2")
 
     def test_unary_minus_binds_below_power(self):
-        assert evaluate_ast(parse_expression("-2^2"), 0.0) == -4.0
+        assert CoefficientFunction.from_text("-2^2")(0.0) == -4.0
 
     def test_power_right_associative(self):
-        assert evaluate_ast(parse_expression("2^3^2"), 0.0) == 512.0
+        assert CoefficientFunction.from_text("2^3^2")(0.0) == 512.0
 
     def test_negative_exponent(self):
-        assert evaluate_ast(parse_expression("2^-3"), 0.0) == 0.125
+        assert CoefficientFunction.from_text("2^-3")(0.0) == 0.125
 
     def test_left_associative_subtraction(self):
-        assert evaluate_ast(parse_expression("10 - 4 - 3"), 0.0) == 3.0
+        assert CoefficientFunction.from_text("10 - 4 - 3")(0.0) == 3.0
 
     @pytest.mark.parametrize(
         "shape, offset",
@@ -91,9 +92,9 @@ class TestParser:
         ids=["parentheses", "unary-minus", "power-chain", "sum-chain", "calls"],
     )
     def test_nesting_limit(self, shape, offset):
-        # the deepest accepted tree still prints, evaluates and folds
-        fn = CoefficientFunction.from_ast(parse_expression(shape(MAX_DEPTH)))
-        assert parse_expression(fn.to_text()) == fn.as_expression()
+        # the deepest accepted tree still prints, compiles, evaluates and folds
+        fn = CoefficientFunction(parse_expression(shape(MAX_DEPTH)))
+        assert parse_expression(fn.to_text()) == fn.ast
         fn(0.5)
         assert not fn.is_constant()
         with pytest.raises(ExpressionSyntaxError) as err:
@@ -104,31 +105,31 @@ class TestParser:
 class TestEvaluate:
     def test_constant(self):
         f = CoefficientFunction.constant(3.0)
-        assert evaluate(f, 17.5) == 3.0
+        assert f(17.5) == 3.0
 
     def test_sinusoidal_at_zero(self):
         f = CoefficientFunction.sinusoidal(1.0, 0.5, 1.0, 0.0)
-        assert evaluate(f, 0.0) == 1.0
+        assert f(0.0) == 1.0
 
     def test_exp_expression(self):
         f = CoefficientFunction.from_text("exp(-t)")
-        assert evaluate(f, 0.0) == 1.0
+        assert f(0.0) == 1.0
 
     def test_linear(self):
         f = CoefficientFunction.linear(2.0, -1.0)
-        assert evaluate(f, 3.0) == 5.0
+        assert f(3.0) == 5.0
 
     def test_ln_domain_error_reports_context(self):
         f = CoefficientFunction.from_text("ln(t)")
         with pytest.raises(EvaluationDomainError) as err:
-            evaluate(f, -1.0)
+            f(-1.0)
         assert err.value.t == -1.0
         assert "ln" in err.value.subexpression
 
     def test_division_by_zero(self):
         f = CoefficientFunction.from_text("1/(t - 1)")
         with pytest.raises(EvaluationDomainError):
-            evaluate(f, 1.0)
+            f(1.0)
 
     @pytest.mark.parametrize(
         "f, t",
@@ -144,43 +145,53 @@ class TestEvaluate:
     )
     def test_non_finite_value_is_a_domain_error(self, f, t):
         with pytest.raises(EvaluationDomainError) as err:
-            evaluate(f, t)
+            f(t)
         assert err.value.t == t
+
+    def test_pickle_round_trip(self):
+        f = CoefficientFunction.from_text("1 + 0.5*sin(2*t + 0.3)")
+        g = pickle.loads(pickle.dumps(f))
+        assert g == f and g(1.2345) == f(1.2345)
 
     def test_deterministic(self):
         f = CoefficientFunction.from_text("1 + 0.5*sin(2*t + 0.3)")
-        values = {evaluate(f, 1.2345) for _ in range(10)}
+        values = {f(1.2345) for _ in range(10)}
         assert len(values) == 1
 
 
-class TestBuiltinEquivalence:
-    """Each builtin family evaluates identically to its expression tree."""
+    def test_is_constant_is_syntactic(self):
+        assert CoefficientFunction.constant(0.5).is_constant()
+        assert CoefficientFunction.from_text("2*exp(1)").is_constant()
+        assert not CoefficientFunction.linear(0.0, 0.5).is_constant()
+        assert not CoefficientFunction.from_text("0*t").is_constant()
+
+
+class TestBuiltinFamilies:
+    """The builtin constructors build plain expression trees."""
 
     @pytest.mark.parametrize(
-        "fn",
+        "fn, formula",
         [
-            CoefficientFunction.constant(2.75),
-            CoefficientFunction.linear(0.3, -1.2),
-            CoefficientFunction.sinusoidal(1.1, 0.5, 2.0, 0.7),
+            (CoefficientFunction.constant(2.75), lambda t: 2.75),
+            (CoefficientFunction.linear(0.3, -1.2), lambda t: 0.3 * t + -1.2),
+            (CoefficientFunction.sinusoidal(1.1, 0.5, 2.0, 0.7),
+             lambda t: 1.1 * (1.0 + 0.5 * math.sin(2.0 * t + 0.7))),
         ],
         ids=["constant", "linear", "sinusoidal"],
     )
-    def test_matches_expression_tree(self, fn):
-        import random
-
+    def test_matches_formula(self, fn, formula):
         rng = random.Random(12345)
-        tree = fn.as_expression()
         for _ in range(1000):
             t = rng.uniform(-20.0, 20.0)
-            direct = fn(t)
-            via_tree = evaluate_ast(tree, t)
-            assert abs(direct - via_tree) <= 1e-15 * max(1.0, abs(direct))
+            assert fn(t).hex() == formula(t).hex()
 
-    def test_expression_round_trips_through_text(self):
-        fn = CoefficientFunction.sinusoidal(1.1, 0.5, 2.0, 0.7)
-        reparsed = CoefficientFunction.from_text(fn.to_text())
-        for t in (0.0, 0.5, 1.7, -3.0):
-            assert reparsed(t) == pytest.approx(fn(t), rel=1e-15)
+    def test_round_trips_through_text(self):
+        for fn in (
+            CoefficientFunction.constant(-2.75),
+            CoefficientFunction.linear(-0.3, -1.2),
+            CoefficientFunction.sinusoidal(1.1, -0.5, 2.0, -0.7),
+        ):
+            assert CoefficientFunction.from_text(fn.to_text()) == fn
 
 
 # --- property tests -----------------------------------------------------------
@@ -223,3 +234,58 @@ def test_parser_never_crashes_unexpectedly(source):
         parse_expression(source)
     except (ExpressionSyntaxError, UnknownIdentifierError, ArityMismatchError):
         pass
+
+
+# a plain recursive evaluator with the documented domain rules, to check
+# the compiled closures against
+_FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+              "ln": math.log, "abs": abs}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv, "^": math.pow}
+
+
+def _reference(node, t):
+    if isinstance(node, Literal):
+        return node.value
+    if isinstance(node, TimeVar):
+        return t
+    if isinstance(node, Neg):
+        return -_reference(node.operand, t)
+    if isinstance(node, Call):
+        x = _reference(node.arg, t)
+        if (node.name in ("sin", "cos") and math.isinf(x)) or (
+                node.name == "ln" and x <= 0.0):
+            raise EvaluationDomainError(node.name, t, to_text(node))
+        try:
+            return _FUNCTIONS[node.name](x)
+        except OverflowError:
+            raise EvaluationDomainError(node.name, t, to_text(node))
+    a, b = _reference(node.left, t), _reference(node.right, t)
+    if node.op == "/" and b == 0.0:
+        raise EvaluationDomainError(node.op, t, to_text(node))
+    try:
+        return _OPERATORS[node.op](a, b)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise EvaluationDomainError(node.op, t, to_text(node))
+
+
+def _outcome(fn, t):
+    """The value's hex digits, or "domain error" for a domain error or a
+    non-finite value."""
+    try:
+        v = fn(t)
+    except EvaluationDomainError:
+        return "domain error"
+    return v.hex() if math.isfinite(v) else "domain error"
+
+
+@given(_asts, st.floats(allow_nan=False, allow_infinity=False,
+                        min_value=-1e3, max_value=1e3))
+@example(BinOp("*", Literal(2.0), TimeVar()), -1.5)  # c*t, one closure
+@example(BinOp("+", BinOp("*", Literal(2.0), TimeVar()), Literal(0.5)), -1.5)  # c*t + d
+@example(BinOp("+", Literal(1.0), BinOp("*", Literal(0.5), Call("sin", TimeVar()))),
+         -1.5)  # a + b*x
+@settings(max_examples=500, deadline=None)
+def test_compiled_matches_reference(tree, t):
+    compiled = CoefficientFunction(tree)
+    assert _outcome(compiled, t) == _outcome(lambda t: _reference(tree, t), t)
