@@ -22,6 +22,20 @@ int b_a / (1 - z c1 e^Theta) and I = int e^Gamma b_b from ``a``, plus the
 deformed forms' validity window 1 - z c1 e^Theta > 0.  The classical
 forms are the case z c1 = 0, where Gamma is Theta.
 
+Each closed-form evaluator returns a :class:`Jet`: the state together
+with its exact time derivative.  The derivative is the chain rule
+applied to the evaluator's own intermediates, with
+
+    Theta' = b_a,   Gamma' = b_a / L,   I' = e^Gamma b_b,
+    L = 1 - z c1 e^Theta
+
+(so (e^Theta)' = e^Theta b_a and (e^Gamma)' = e^Gamma b_a / L), and for
+the deformed coordinate x = -ln(L)/z, x' = c1 e^Theta b_a / L.  The
+formula is differentiated, never the equation of motion: for
+y = (c2 + I)/G the rate is y' = (I' - (c2 + I) G'/G)/G, not
+b_b - b_a y, so comparing the rate with the right-hand side at the
+state checks the closed-form algebra to round-off.
+
 Finite-difference Poisson brackets and vector-field commutators are
 provided to verify the algebra's structure relations numerically; they
 are generic over any state-function or field evaluators, so the deformed
@@ -32,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import ExpOverflowError, NonFiniteSampleError
 from .quadrature import DEFAULT_TOLERANCE, cumulative
@@ -43,6 +57,7 @@ __all__ = [
     "BookSystem",
     "BookIntegrals",
     "IntegrationConstants",
+    "Jet",
     "hamiltonian_a",
     "hamiltonian_b",
     "field_a",
@@ -98,6 +113,14 @@ class IntegrationConstants:
 
     c1: float
     c2: float
+
+
+class Jet(NamedTuple):
+    """First-order jet of a closed form at one time: its state object and
+    ``rate``, the time derivatives of the state's two fields in order."""
+
+    state: Any
+    rate: tuple[float, float]
 
 
 # --- algebra generators -----------------------------------------------------
@@ -169,10 +192,15 @@ class BookIntegrals:
     ``a`` and bisection of the first sign change to 1e-10, extended lazily
     by :meth:`window_end` on the shared Theta cache; for z c1 <= 0 it never
     ends.  Not safe for unsynchronized shared use (checkpoints mutate).
+
+    ``b_a`` and ``b_b`` are kept for the closed forms' jets: Theta' = b_a,
+    Gamma' = b_a / L and I' = e^Gamma b_b.
     """
 
     def __init__(self, b_a: CoefficientFunction, b_b: CoefficientFunction,
                  a: float, tol: float = DEFAULT_TOLERANCE, z_c1: float = 0.0):
+        self.b_a = b_a
+        self.b_b = b_b
         self.z_c1 = z_c1
         self.theta = theta = cumulative(b_a, a, 0.5 * tol)
 
@@ -233,24 +261,29 @@ def solution_evaluator(
     sys: BookSystem,
     constants: IntegrationConstants,
     tol: float = DEFAULT_TOLERANCE,
-) -> Callable[[float], CanonicalState]:
-    """Closed-form solution as a reusable evaluator.
+) -> Callable[[float], Jet]:
+    """Closed-form solution as a reusable evaluator of t returning the
+    :class:`Jet` (state, (x', y')).
 
     The underlying cumulative integrals share their checkpoint caches
     across calls, so evaluating a whole time grid costs one sweep.
     """
+    c1, c2 = constants.c1, constants.c2
     k = BookIntegrals(sys.b_a, sys.b_b, sys.a, tol)
 
-    def evaluate(t: float) -> CanonicalState:
+    def evaluate(t: float) -> Jet:
         th = k.theta(t)
         growth = exp_checked(th, "book solution", t)
         if growth == 0.0:
             raise ExpOverflowError(
                 f"exp(-Theta(t)) overflowed at t={t!r} (Theta={th!r})"
             )
-        x = constants.c1 * growth
-        y = (constants.c2 + k.forced(t)) / growth
-        return finite_state(CanonicalState, x, y, t)
+        i_t = c2 + k.forced(t)
+        state = finite_state(CanonicalState, c1 * growth, i_t / growth, t)
+        # Gamma is Theta here: (e^Theta)' = e^Theta b_a, I' = e^Theta b_b
+        d_growth = growth * k.b_a(t)
+        d_forced = growth * k.b_b(t)
+        return Jet(state, (c1 * d_growth, (d_forced - i_t * d_growth / growth) / growth))
 
     return evaluate
 
@@ -262,7 +295,7 @@ def exact_solution(
     tol: float = DEFAULT_TOLERANCE,
 ) -> CanonicalState:
     """Closed-form solution at a single time (fresh quadrature caches)."""
-    return solution_evaluator(sys, constants, tol)(t)
+    return solution_evaluator(sys, constants, tol)(t).state
 
 
 def fit_constants(sys: BookSystem, t0: float, s0: CanonicalState) -> IntegrationConstants:

@@ -57,8 +57,6 @@ EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
-_RESIDUAL_DELTA = 1e-4
-
 
 # --- scenario files ----------------------------------------------------------
 
@@ -251,7 +249,7 @@ class _ModelSpec:
     chart: str
     coefficients: tuple[str, ...]  # dilation and translation keys, in that order
     system: Callable  # book view (a DeformedBookSystem) -> the model's system
-    evaluator: Callable  # (model, quadrature tolerance) -> closed form of t
+    evaluator: Callable  # (model, quadrature tolerance) -> t -> canonical.Jet
     rhs: Callable  # (model, t, state object) -> right-hand side
     optional: tuple[str, ...] = ()
     deformed: bool = False  # takes z and has a validity window
@@ -260,6 +258,14 @@ class _ModelSpec:
 
 def _sis_view(book: DeformedBookSystem) -> SisSystem:
     return SisSystem(book.base.b_a, book.base.b_b, book.base.a)
+
+
+def _moments_jet(jet: canonical.Jet) -> canonical.Jet:
+    """(q, p) jet -> (mean, variance) jet: variance = 1/p^2 has rate
+    -2 p' / p^3."""
+    p = jet.state.p
+    dq, dp = jet.rate
+    return canonical.Jet(sis.moments_from_state(jet.state), (dq, -2.0 * dp / p / (p * p)))
 
 
 _MODEL_TABLE = {
@@ -274,12 +280,12 @@ _MODEL_TABLE = {
     "sis-constant": _ModelSpec(
         "qp", ("rho0",), optional=("b",), system=_sis_view, constant_rate=True,
         # explicit formula, no quadrature: the tolerance is not used
-        evaluator=lambda m, tol: lambda t: sis.sis_constant_solution(m.rate, m.constants, t),
+        evaluator=lambda m, tol: lambda t: sis.sis_constant_jet(m.rate, m.constants, t),
         rhs=lambda m, t, s: sis.sis_rhs(m.system, t, s)),
     "moments": _ModelSpec(
         "moments", ("rho0",), system=_sis_view, constant_rate=True,
-        evaluator=lambda m, tol: lambda t: sis.moments_from_state(
-            sis.sis_constant_solution(m.rate, m.constants, t)),
+        evaluator=lambda m, tol: lambda t: _moments_jet(
+            sis.sis_constant_jet(m.rate, m.constants, t)),
         rhs=lambda m, t, s: sis.moment_rhs(m.rate, s)),
     "deformed-book": _ModelSpec(
         "xy", ("bA", "bB"), system=lambda book: book, deformed=True,
@@ -344,10 +350,17 @@ class Model:
                 raise ScenarioError(f"{scenario.model} fixes b == 1")
         return value
 
-    def exact_evaluator(self, tol: float) -> Callable[[float], tuple[float, float]]:
+    def exact_evaluator(self, tol: float) -> Callable[[float], tuple[tuple, tuple]]:
+        """t -> (state, rate): the closed form's state and its exact time
+        derivative, both as tuples in the chart's field order."""
         evaluate = self.spec.evaluator(self, tol)
         values = self._values
-        return lambda t: values(evaluate(t))
+
+        def jet(t: float) -> tuple[tuple, tuple]:
+            state, rate = evaluate(t)
+            return values(state), rate
+
+        return jet
 
     def rhs(self, t: float, state: tuple[float, float]) -> tuple[float, float]:
         return self.spec.rhs(self, t, self.chart.state(*state))
@@ -401,27 +414,16 @@ class Trajectory:
     metadata: dict
 
 
-def _residual(adapter: Model, evaluate, t: float,
-              state: tuple[float, float]) -> float:
-    """Relative defect between the finite-difference time derivative of
-    the closed form and the model right-hand side."""
-    d = _RESIDUAL_DELTA
-    try:
-        sp = evaluate(t + d)
-        sm = evaluate(t - d)
-        fd = ((sp[0] - sm[0]) / (2 * d), (sp[1] - sm[1]) / (2 * d))
-    except BooksisError:
-        try:  # fall back to a one-sided difference at a domain edge
-            sm = evaluate(t - d)
-            fd = ((state[0] - sm[0]) / d, (state[1] - sm[1]) / d)
-        except BooksisError:
-            return math.nan
+def _residual(adapter: Model, t: float, state: tuple[float, float],
+              rate: tuple[float, float]) -> float:
+    """Relative defect between the closed form's exact time derivative
+    ``rate`` and the model right-hand side at the sample."""
     try:
         f = adapter.rhs(t, state)
     except BooksisError:
         return math.nan
     scale = max(1.0, abs(f[0]), abs(f[1]))
-    return max(abs(fd[0] - f[0]), abs(fd[1] - f[1])) / scale
+    return max(abs(rate[0] - f[0]), abs(rate[1] - f[1])) / scale
 
 
 def run_scenario(
@@ -457,14 +459,17 @@ def run_scenario(
 
     evaluate = adapter.exact_evaluator(scenario.quadrature_tol)
     exact_states: list[tuple[float, float]] = []
+    exact_rates: list[tuple[float, float]] = []
     evaluated_times: list[float] = []
     for t in times:
         try:
-            exact_states.append(evaluate(t))
+            state, rate = evaluate(t)
         except BooksisError as exc:
             if domain_exit is None:
                 domain_exit = {"first_failing_t": t, "reason": str(exc)}
             break
+        exact_states.append(state)
+        exact_rates.append(rate)
         evaluated_times.append(t)
 
     solver_stats: dict = {}
@@ -513,7 +518,7 @@ def run_scenario(
         state = exact_states[i]
         num = numeric_states[i]
         dev = max(abs(state[0] - float(num[0])), abs(state[1] - float(num[1])))
-        res = _residual(adapter, evaluate, t, state)
+        res = _residual(adapter, t, state, exact_rates[i])
         max_dev = max(max_dev, dev)
         if math.isfinite(res):
             max_res = max(max_res, res)
@@ -678,7 +683,7 @@ def _order(z0: float, z1: float, v0: float, v1: float) -> float | None:
 
 def _sweep_exact(adapter: Model, scenario: Scenario, grid: list[float]):
     evaluate = adapter.exact_evaluator(scenario.quadrature_tol)
-    return [evaluate(t) for t in grid]
+    return [evaluate(t)[0] for t in grid]
 
 
 # --- entry point ---------------------------------------------------------------------

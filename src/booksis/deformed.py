@@ -40,6 +40,7 @@ from .canonical import (
     BookSystem,
     CanonicalState,
     IntegrationConstants,
+    Jet,
     default_fd_step,
     exp_checked,
     finite_state,
@@ -228,11 +229,12 @@ def deformed_solution_evaluator(
     sys: DeformedBookSystem,
     constants: IntegrationConstants,
     tol: float = DEFAULT_TOLERANCE,
-) -> Callable[[float], CanonicalState]:
-    """Closed-form deformed solution as an evaluator with shared caches
+) -> Callable[[float], Jet]:
+    """Closed-form deformed solution as an evaluator of t returning the
+    :class:`~booksis.canonical.Jet` (state, (x', y')), with shared caches
     (see :class:`~booksis.canonical.BookIntegrals` for the tolerance
     split).  Every call verifies the requested time against the validity
-    window, extending the root scan lazily.  At z c1 = 0 the values equal
+    window, extending the root scan lazily.  At z c1 = 0 the jets equal
     the classical :func:`~booksis.canonical.solution_evaluator`'s bit for
     bit.
     """
@@ -241,18 +243,27 @@ def deformed_solution_evaluator(
     a = sys.base.a
     k = BookIntegrals(sys.base.b_a, sys.base.b_b, a, tol, z * c1)
 
-    def evaluate(t: float) -> CanonicalState:
+    def evaluate(t: float) -> Jet:
         if t >= a and t >= k.window_end(t):
             raise ValidityWindowError(t, k.t_max)
-        w = z * c1 * exp_checked(k.theta(t), "deformed solution", t)
+        growth = exp_checked(k.theta(t), "deformed solution", t)
+        w = z * c1 * growth
         if w >= 1.0:
             raise ValidityWindowError(t, t)
-        x = c1 * exp_checked(k.theta(t), "deformed solution", t) * _shifted_log_ratio(w)
+        x = c1 * growth * _shifted_log_ratio(w)
         g = exp_checked(k.gamma(t), "deformed solution", t)
         if g == 0.0:
             raise ExpOverflowError(f"deformed solution: exp(-Gamma) overflowed at t={t!r}")
-        y = (c2 + k.forced(t)) / g
-        return finite_state(CanonicalState, x, y, t)
+        i_t = c2 + k.forced(t)
+        state = finite_state(CanonicalState, x, i_t / g, t)
+        # x = -ln(L)/z with L = 1 - w: x' = c1 e^Theta b_a / L;
+        # (e^Gamma)' = e^Gamma b_a / L, I' = e^Gamma b_b
+        log_arg = 1.0 - w
+        b_a = k.b_a(t)
+        d_growth = growth * b_a
+        d_g = g * b_a / log_arg
+        d_forced = g * k.b_b(t)
+        return Jet(state, (c1 * d_growth / log_arg, (d_forced - i_t * d_g / g) / g))
 
     return evaluate
 
@@ -264,7 +275,7 @@ def deformed_exact_solution(
     tol: float = DEFAULT_TOLERANCE,
 ) -> CanonicalState:
     """Closed-form deformed solution at a single time."""
-    return deformed_solution_evaluator(sys, constants, tol)(t)
+    return deformed_solution_evaluator(sys, constants, tol)(t).state
 
 
 # --- deformed SIS layer -------------------------------------------------------------
@@ -324,8 +335,9 @@ def deformed_sis_solution_evaluator(
     sys: DeformedSisSystem,
     constants: IntegrationConstants,
     tol: float = DEFAULT_TOLERANCE,
-) -> Callable[[float], EpidemicState]:
-    """Closed-form deformed SIS solution as an evaluator.
+) -> Callable[[float], Jet]:
+    """Closed-form deformed SIS solution as an evaluator of t returning
+    the :class:`~booksis.canonical.Jet` (state, (q', p')).
 
     With L(t) = ln(1 - z c1 e^{Theta(t)}), Gamma as in the canonical
     deformed solution (with rho0 as the dilation coefficient) and
@@ -346,14 +358,15 @@ def deformed_sis_solution_evaluator(
     a = sys.base.a
     k = BookIntegrals(sys.base.rho0, sys.base.b, a, tol, z * c1)
 
-    def evaluate(t: float) -> EpidemicState:
+    def evaluate(t: float) -> Jet:
         if t >= a and t >= k.window_end(t):
             raise ValidityWindowError(t, k.t_max)
-        w = z * c1 * exp_checked(k.theta(t), "deformed SIS solution", t)
+        growth = exp_checked(k.theta(t), "deformed SIS solution", t)
+        w = z * c1 * growth
         if w >= 1.0:
             raise ValidityWindowError(t, t)
         # x = -L/z stably; L = ln(1 - w)
-        x = c1 * exp_checked(k.theta(t), "deformed SIS solution", t) * _shifted_log_ratio(w)
+        x = c1 * growth * _shifted_log_ratio(w)
         # x^2 is a chart denominator below; it vanishes when x underflows too
         if x * x == 0.0:
             raise SingularLocusError(f"x(t) = {x!r} gives x^2 = 0 at t={t!r}")
@@ -363,9 +376,20 @@ def deformed_sis_solution_evaluator(
         locus = x * x * y * y - 1.0
         if abs(locus) < SINGULAR_LOCUS_TOLERANCE:
             raise SingularLocusError(f"solution hit the singular locus at t={t!r}")
-        q = y / (y * y - 1.0 / (x * x))
-        p = x * y * y - 1.0 / x
-        return finite_state(EpidemicState, q, p, t)
+        den = y * y - 1.0 / (x * x)
+        state = finite_state(EpidemicState, y / den, x * y * y - 1.0 / x, t)
+        # x' = c1 e^Theta rho0 / (1 - w); (e^-Gamma)' = -e^-Gamma rho0 / (1 - w);
+        # I' = e^Gamma b
+        log_arg = 1.0 - w
+        rho0 = k.b_a(t)
+        d_x = c1 * growth * rho0 / log_arg
+        d_decay = -decay * rho0 / log_arg
+        d_i = exp_checked(k.gamma(t), "deformed SIS solution", t) * k.b_b(t)
+        d_y = d_decay * i_t + decay * d_i
+        d_x_over_x2 = d_x / x / x  # -(1/x)'
+        d_den = 2.0 * y * d_y + 2.0 * d_x_over_x2 / x
+        return Jet(state, ((d_y - y * d_den / den) / den,
+                           d_x * y * y + 2.0 * x * y * d_y + d_x_over_x2))
 
     return evaluate
 
@@ -377,7 +401,7 @@ def deformed_sis_exact_solution(
     tol: float = DEFAULT_TOLERANCE,
 ) -> EpidemicState:
     """Closed-form deformed SIS solution at a single time."""
-    return deformed_sis_solution_evaluator(sys, constants, tol)(t)
+    return deformed_sis_solution_evaluator(sys, constants, tol)(t).state
 
 
 # --- first-order perturbations --------------------------------------------------------

@@ -322,11 +322,11 @@ def check_solution_residual(seed: int, count: int) -> CheckResult:
         evaluate = canonical.solution_evaluator(book, constants, tol=1e-12)
         for k in range(20):
             t = 0.25 * (k + 1)
-            plus = evaluate(t + delta)
-            minus = evaluate(t - delta)
+            plus = evaluate(t + delta).state
+            minus = evaluate(t - delta).state
             dx_fd = (plus.x - minus.x) / (2.0 * delta)
             dy_fd = (plus.y - minus.y) / (2.0 * delta)
-            here = evaluate(t)
+            here = evaluate(t).state
             dx, dy = canonical.rhs(book, t, here)
             scale = max(1.0, abs(dx), abs(dy))
             worst = max(worst, abs(dx - dx_fd) / scale, abs(dy - dy_fd) / scale)

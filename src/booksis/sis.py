@@ -36,6 +36,7 @@ from .canonical import (
     BookIntegrals,
     CanonicalState,
     IntegrationConstants,
+    Jet,
     exp_checked,
     finite_state,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "sis_exact_solution",
     "sis_solution_evaluator",
     "sis_constant_solution",
+    "sis_constant_jet",
     "moment_rhs",
     "moments_from_state",
     "state_from_moments",
@@ -181,6 +183,7 @@ def sis_solution_evaluator(
     tol: float = DEFAULT_TOLERANCE,
 ):
     """Closed-form solution of the time-dependent system as an evaluator
+    of t returning the :class:`~booksis.canonical.Jet` (state, (q', p')),
     with shared quadrature caches.
 
     With Theta the cumulative integral of rho0 and
@@ -194,7 +197,7 @@ def sis_solution_evaluator(
         raise ValueError("c1 must be nonzero (x(t) would vanish identically)")
     k = BookIntegrals(sys.rho0, sys.b, sys.a, tol)
 
-    def evaluate(t: float) -> EpidemicState:
+    def evaluate(t: float) -> Jet:
         i_t = c2 + k.forced(t)
         g = exp_checked(k.theta(t), "SIS solution", t)
         if g == 0.0:
@@ -205,9 +208,18 @@ def sis_solution_evaluator(
             raise SingularLocusError(
                 f"solution hit the singular locus at t={t!r}",
             )
-        q = i_t * g / (i_t * i_t - 1.0 / (c1 * c1))
-        p = (c1 * i_t * i_t - 1.0 / c1) / g
-        return finite_state(EpidemicState, q, p, t)
+        num = i_t * g
+        den = i_t * i_t - 1.0 / (c1 * c1)
+        p_num = c1 * i_t * i_t - 1.0 / c1
+        state = finite_state(EpidemicState, num / den, p_num / g, t)
+        # Gamma is Theta here: (e^Theta)' = e^Theta rho0, I' = e^Theta b
+        d_g = g * k.b_a(t)
+        d_i = g * k.b_b(t)
+        d_num = d_i * g + i_t * d_g
+        d_den = 2.0 * i_t * d_i
+        d_p_num = 2.0 * c1 * i_t * d_i
+        return Jet(state, ((d_num - num * d_den / den) / den,
+                           (d_p_num - p_num * d_g / g) / g))
 
     return evaluate
 
@@ -219,14 +231,15 @@ def sis_exact_solution(
     tol: float = DEFAULT_TOLERANCE,
 ) -> EpidemicState:
     """Closed-form solution at a single time (fresh quadrature caches)."""
-    return sis_solution_evaluator(sys, constants, tol)(t)
+    return sis_solution_evaluator(sys, constants, tol)(t).state
 
 
-def sis_constant_solution(
+def sis_constant_jet(
     rho0: float, constants: IntegrationConstants, t: float
-) -> EpidemicState:
-    """Closed form for constant infection rate, b = 1 and base point 0;
-    no quadrature is involved (Theta(t) = rho0 * t):
+) -> Jet:
+    """Closed form for constant infection rate, b = 1 and base point 0,
+    as the :class:`~booksis.canonical.Jet` (state, (q', p')); no
+    quadrature is involved (Theta(t) = rho0 * t):
 
         q(t) = rho0 (e^{rho0 t} + c2 rho0 - 1) e^{rho0 t}
                / ((e^{rho0 t} + c2 rho0 - 1)^2 - rho0^2/c1^2)
@@ -244,9 +257,23 @@ def sis_constant_solution(
     denom = k * k - rho0 * rho0 / (c1 * c1)
     if abs(c1 * c1 * k * k - rho0 * rho0) < SINGULAR_LOCUS_TOLERANCE * max(1.0, rho0 * rho0):
         raise SingularLocusError(f"singular denominator at t={t!r}")
-    q = rho0 * k * g / denom
-    p = (c1 * k * k / (rho0 * rho0) - 1.0 / c1) / g
-    return finite_state(EpidemicState, q, p, t)
+    num = rho0 * k * g
+    p_num = c1 * k * k / (rho0 * rho0) - 1.0 / c1
+    state = finite_state(EpidemicState, num / denom, p_num / g, t)
+    # (e^{rho0 t})' = rho0 e^{rho0 t}, and k' is the same
+    d_g = rho0 * g
+    d_num = rho0 * (d_g * g + k * d_g)
+    d_denom = 2.0 * k * d_g
+    d_p_num = 2.0 * c1 * k * d_g / (rho0 * rho0)
+    return Jet(state, ((d_num - num * d_denom / denom) / denom,
+                       (d_p_num - p_num * d_g / g) / g))
+
+
+def sis_constant_solution(
+    rho0: float, constants: IntegrationConstants, t: float
+) -> EpidemicState:
+    """State of :func:`sis_constant_jet`."""
+    return sis_constant_jet(rho0, constants, t).state
 
 
 # --- moment form ---------------------------------------------------------------------

@@ -81,7 +81,7 @@ def test_criterion_1_classical_canonical_vs_both_integrators():
         sysb = random_book_system(rng)
         constants = random_constants(rng)
         evaluate = solution_evaluator(sysb, constants, tol=1e-10)
-        exact = np.array([[evaluate(t).x, evaluate(t).y] for t in times])
+        exact = np.array([[evaluate(t).state.x, evaluate(t).state.y] for t in times])
         problem = OdeProblem(
             rhs=canonical_vector_rhs(sysb),
             t0=0.0,
@@ -109,7 +109,7 @@ def test_criterion_2_classical_sis_vs_rk45():
     c0 = to_canonical(start)
     evaluate = sis_solution_evaluator(sysc, IntegrationConstants(c0.x, c0.y), tol=1e-10)
     times = [0.1 * k for k in range(51)]
-    exact = np.array([[evaluate(t).q, evaluate(t).p] for t in times])
+    exact = np.array([[evaluate(t).state.q, evaluate(t).state.p] for t in times])
     problem = OdeProblem(
         rhs=lambda t, v: np.array(sis_rhs(sysc, t, EpidemicState(v[0], v[1]))),
         t0=0.0,
@@ -134,7 +134,7 @@ def test_criterion_3_constant_rate_specialization():
     evaluate = sis_solution_evaluator(sysc, constants, tol=1e-12)
     worst = 0.0
     for t in [0.25 * k for k in range(41)]:
-        general = evaluate(t)
+        general = evaluate(t).state
         special = sis_constant_solution(rho0, constants, t)
         worst = max(worst, abs(general.q - special.q), abs(general.p - special.p))
     tail = sis_constant_solution(rho0, constants, 30.0)
@@ -160,7 +160,7 @@ def test_criterion_4_deformed_exact_vs_rk45():
         horizon = 0.8 * t_max
         times = [horizon * k / 20 for k in range(21)]
         evaluate = deformed_solution_evaluator(sysd, constants, tol=1e-10)
-        exact = np.array([[evaluate(t).x, evaluate(t).y] for t in times])
+        exact = np.array([[evaluate(t).state.x, evaluate(t).state.y] for t in times])
         x0 = -math.log(1.0 - z * constants.c1) / z
         problem = OdeProblem(
             rhs=lambda t, v: np.array(deformed_rhs(sysd, t, CanonicalState(v[0], v[1]))),
@@ -183,7 +183,7 @@ def test_criterion_4_deformed_exact_vs_rk45():
         horizon = 0.8 * t_max
         times = [horizon * k / 20 for k in range(21)]
         evaluate = deformed_sis_solution_evaluator(sis_deformed, c_sis, tol=1e-10)
-        exact = np.array([[evaluate(t).q, evaluate(t).p] for t in times])
+        exact = np.array([[evaluate(t).state.q, evaluate(t).state.p] for t in times])
         problem = OdeProblem(
             rhs=lambda t, v: np.array(
                 deformed_sis_rhs(sis_deformed, t, EpidemicState(v[0], v[1]))
@@ -246,7 +246,7 @@ def test_criterion_7_classical_limit_first_order():
     s0 = CanonicalState(0.4, 0.8)
     classical = solution_evaluator(base, IntegrationConstants(s0.x, s0.y), tol=1e-12)
     times = [0.1 * k for k in range(1, 31)]
-    reference = [classical(t) for t in times]
+    reference = [classical(t).state for t in times]
 
     def deviation(z):
         sysd = DeformedBookSystem(base, z)
@@ -254,7 +254,7 @@ def test_criterion_7_classical_limit_first_order():
         evaluate = deformed_solution_evaluator(sysd, c, tol=1e-12)
         worst = 0.0
         for t, ref in zip(times, reference):
-            s = evaluate(t)
+            s = evaluate(t).state
             worst = max(worst, abs(s.x - ref.x), abs(s.y - ref.y))
         return worst
 

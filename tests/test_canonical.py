@@ -185,7 +185,7 @@ class TestInvariants:
             constants = random_constants(rng)
             evaluate = solution_evaluator(sysb, constants, tol=1e-10)
             times = [0.5 * k for k in range(1, 11)]
-            exact = [evaluate(t) for t in times]
+            exact = [evaluate(t).state for t in times]
             problem = OdeProblem(
                 rhs=lambda t, v: np.array(rhs(sysb, t, CanonicalState(v[0], v[1]))),
                 t0=0.0,

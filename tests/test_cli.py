@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from booksis.cli import (
+    _residual,
     EXIT_DOMAIN,
     EXIT_INPUT,
     EXIT_PASS,
@@ -12,6 +14,7 @@ from booksis.cli import (
     compare_scenario,
     load_scenario,
     main,
+    parse_scenario,
     run_scenario,
 )
 from booksis.errors import ScenarioError
@@ -171,7 +174,7 @@ class TestRunScenario:
         _, metadata, code = run_scenario(path)
         assert code == EXIT_PASS
         assert metadata["max_deviation"] < 1e-6
-        assert metadata["max_residual"] < 1e-5
+        assert metadata["max_residual"] < 1e-12
 
     def test_fixed_method(self, tmp_path):
         path = write_scenario(
@@ -214,6 +217,55 @@ class TestRunScenario:
         trajectory, _, _ = run_scenario(path)  # independent recomputation
         for value, sample in zip(stored, trajectory.samples):
             assert abs(value - sample.residual) <= 1e-12
+
+
+BUNDLED_SCENARIOS = sorted(
+    (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+
+
+class TestResidual:
+    """The residual column compares the closed form's exact time
+    derivative with the model right-hand side."""
+
+    @pytest.mark.parametrize("path", BUNDLED_SCENARIOS, ids=lambda p: p.stem)
+    def test_bundled_scenario_at_round_off(self, path):
+        _, metadata, _ = run_scenario(path)
+        assert metadata["samples_evaluated"] > 0
+        assert metadata["max_residual"] <= 1e-12
+
+    # (model, fixed coefficients, varied key, its two values, chart, values, z);
+    # the constant-rate models fix b == 1, so their pair differs in rho0
+    TEETH = [
+        ("book-canonical", {"bA": "0.5 + 0.3*sin(t)"}, "bB", ("0.5", "0.7"),
+         "xy", [0.4, 0.8], 0.0),
+        ("sis", {"rho0": "1 + 0.5*sin(t)"}, "b", ("0.5", "0.7"),
+         "qp", [2.0 / 3.0, 3.0], 0.0),
+        ("deformed-book", {"bA": "0.5 + 0.3*sin(t)"}, "bB", ("0.5", "0.7"),
+         "xy", [0.4, 0.8], 0.1),
+        ("deformed-sis", {"rho0": "1 + 0.5*sin(t)"}, "b", ("0.5", "0.7"),
+         "qp", [2.0 / 3.0, 3.0], 0.05),
+        ("sis-constant", {}, "rho0", ("1", "0.5"), "qp", [2.0 / 3.0, 3.0], 0.0),
+        ("moments", {}, "rho0", ("1", "0.5"), "moments", [2.0 / 3.0, 1.0 / 9.0], 0.0),
+    ]
+
+    @pytest.mark.parametrize("model, fixed, key, pair, chart, values, z", TEETH,
+                             ids=[case[0] for case in TEETH])
+    def test_residual_has_teeth(self, model, fixed, key, pair, chart, values, z):
+        # the closed form of one coefficient against the right-hand side
+        # of another must show, at every sample
+        def build(value):
+            return build_adapter(parse_scenario({
+                "model": model, "coefficients": {**fixed, key: value}, "z": z,
+                "initial": {"chart": chart, "values": values},
+                "grid": {"t_start": 0.0, "t_end": 1.5, "n_samples": 7},
+            }))
+
+        closed_form, other = build(pair[0]), build(pair[1])
+        evaluate = closed_form.exact_evaluator(1e-10)
+        for t in (0.25 * k for k in range(7)):
+            state, rate = evaluate(t)
+            assert _residual(closed_form, t, state, rate) <= 1e-12
+            assert _residual(other, t, state, rate) >= 0.1
 
 
 class TestCompare:
@@ -290,10 +342,14 @@ class TestMainEntryPoint:
             # cos of an infinite argument at every t != 0
             ("book-canonical", {"bA": "1", "bB": "cos(1e300*t*1e300)"}, 0.0, "xy",
              [0.4, 0.8]),
+            # finite on [0, 1e-4] but oscillating like cos(1e310 t) there, so
+            # no quadrature may be asked to integrate it after the exit
+            ("book-canonical", {"bA": "1", "bB": "cos(1e300*t*1e10)"}, 0.0, "xy",
+             [0.4, 0.8]),
         ],
         ids=["book-underflow", "sis-underflow", "sis-constant-underflow",
              "deformed-book-underflow", "deformed-sis-underflow", "book-overflow",
-             "book-cos-overflow"],
+             "book-cos-overflow", "book-cos-fast-oscillation"],
     )
     def test_run_closed_form_out_of_range(self, tmp_path, capsys, model,
                                           coefficients, z, chart, values):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from booksis.sis import (
     EpidemicState,
     SisSystem,
     from_canonical,
+    sis_constant_jet,
     sis_rhs,
     sis_solution_evaluator,
     to_canonical,
@@ -155,8 +157,8 @@ class TestDeformedExactSolution:
             DeformedBookSystem(base, 1e-13), c, tol=1e-11
         )
         for t in (0.5, 1.0, 2.0, 3.0):
-            a = classical(t)
-            b = deformed_eval(t)
+            a = classical(t).state
+            b = deformed_eval(t).state
             assert abs(a.x - b.x) <= 1e-8
             assert abs(a.y - b.y) <= 1e-8
 
@@ -330,6 +332,45 @@ class TestIntegralKernel:
             evaluate(t)
 
 
+class TestJets:
+    """Every closed form returns its state with the exact time derivative:
+    the rate matches a central difference of the states."""
+
+    @pytest.mark.parametrize(
+        "kind", ["book", "sis", "deformed-book", "deformed-sis", "sis-constant"])
+    def test_rate_is_the_time_derivative(self, kind):
+        b_a = CF.from_text("0.5 + 0.3*sin(t)")
+        b_b = CF.from_text("0.5 + 0.2*cos(2*t)")
+        book_sys = BookSystem(b_a, b_b, 0.0)
+        sis_sys = SisSystem(b_a, b_b, 0.0)
+        c = IntegrationConstants(0.4, 0.8)
+        evaluate = {
+            "book": lambda: solution_evaluator(book_sys, c, tol=1e-12),
+            "sis": lambda: sis_solution_evaluator(sis_sys, c, tol=1e-12),
+            "deformed-book": lambda: deformed_solution_evaluator(
+                DeformedBookSystem(book_sys, 0.5), c, tol=1e-12),
+            "deformed-sis": lambda: deformed_sis_solution_evaluator(
+                DeformedSisSystem(sis_sys, 0.5), c, tol=1e-12),
+            # c = (0.4, 0.8) would put this one on the singular locus near t = 1
+            "sis-constant": lambda: lambda t: sis_constant_jet(
+                1.0, IntegrationConstants(1.0, 2.0), t),
+        }[kind]()
+        h = 1e-5
+        for t in (0.5, 1.0, 1.5):
+            rate = evaluate(t).rate
+            plus = astuple(evaluate(t + h).state)
+            minus = astuple(evaluate(t - h).state)
+            for d, p, m in zip(rate, plus, minus):
+                assert d == pytest.approx((p - m) / (2.0 * h), rel=1e-7, abs=1e-7)
+
+    def test_exact_solution_is_the_state(self):
+        sysd = DeformedBookSystem(BookSystem(CF.from_text("0.5 + 0.3*sin(t)"),
+                                             CF.constant(0.5), 0.0), 0.5)
+        c = IntegrationConstants(0.4, 0.8)
+        jet = deformed_solution_evaluator(sysd, c)(1.0)
+        assert deformed_exact_solution(sysd, c, 1.0) == jet.state
+
+
 class TestDeformedSisHamiltonians:
     def test_classical_limit(self):
         s = EpidemicState(0.7, 2.0)
@@ -454,8 +495,8 @@ class TestDeformedSisExactSolution:
             DeformedSisSystem(base, 1e-13), c, tol=1e-11
         )
         for t in (0.5, 1.0, 1.5):
-            a = classical(t)
-            b = tiny(t)
+            a = classical(t).state
+            b = tiny(t).state
             assert abs(a.q - b.q) <= 1e-8
             assert abs(a.p - b.p) <= 1e-8
 
@@ -475,7 +516,7 @@ class TestDeformedSisExactSolution:
         )
         sol = integrate_ode(problem, IntegratorConfig(rtol=1e-10, atol=1e-12), times)
         for t, num in zip(times, sol.states):
-            s = evaluate(t)
+            s = evaluate(t).state
             assert abs(s.q - num[0]) <= 1e-6
             assert abs(s.p - num[1]) <= 1e-6
 
@@ -489,8 +530,8 @@ class TestDeformedSisExactSolution:
         sis_route = deformed_sis_solution_evaluator(sysd, c, tol=1e-11)
         book_route = deformed_solution_evaluator(book_sys, c, tol=1e-11)
         for t in (0.25, 0.75, 1.25, 1.75):
-            via_sis = sis_route(t)
-            via_chart = from_canonical(book_route(t))
+            via_sis = sis_route(t).state
+            via_chart = from_canonical(book_route(t).state)
             assert abs(via_sis.q - via_chart.q) <= 1e-8
             assert abs(via_sis.p - via_chart.p) <= 1e-8
 
@@ -559,7 +600,7 @@ class TestClassicalLimitOrder:
         s0 = CanonicalState(0.4, 0.8)
         classical = solution_evaluator(base, IntegrationConstants(s0.x, s0.y), tol=1e-12)
         times = [0.1 * k for k in range(1, 31)]
-        reference = [classical(t) for t in times]
+        reference = [classical(t).state for t in times]
 
         def deviation(z):
             sysd = DeformedBookSystem(base, z)
@@ -567,7 +608,7 @@ class TestClassicalLimitOrder:
             evaluate = deformed_solution_evaluator(sysd, c, tol=1e-12)
             worst = 0.0
             for t, ref in zip(times, reference):
-                s = evaluate(t)
+                s = evaluate(t).state
                 worst = max(worst, abs(s.x - ref.x), abs(s.y - ref.y))
             return worst
 

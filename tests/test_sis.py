@@ -137,7 +137,7 @@ class TestSisExactSolution:
         )
         sol = integrate_ode(problem, IntegratorConfig(rtol=1e-10, atol=1e-12), times)
         for t, num in zip(times, sol.states):
-            s = evaluate(t)
+            s = evaluate(t).state
             assert abs(s.q - num[0]) <= 1e-6
             assert abs(s.p - num[1]) <= 1e-6
 
@@ -179,7 +179,7 @@ class TestConstantRateSolution:
         c = IntegrationConstants(start.x, start.y)
         evaluate = sis_solution_evaluator(sysc, c, tol=1e-12)
         for t in [0.5 * k for k in range(21)]:
-            general = evaluate(t)
+            general = evaluate(t).state
             special = sis_constant_solution(rho0, c, t)
             assert abs(general.q - special.q) <= 1e-9
             assert abs(general.p - special.p) <= 1e-9
