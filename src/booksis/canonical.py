@@ -20,7 +20,11 @@ Every closed form in the package is a few lines of algebra on one
 integral kernel, :class:`BookIntegrals`: Theta = int b_a, Gamma =
 int b_a / (1 - z c1 e^Theta) and I = int e^Gamma b_b from ``a``, plus the
 deformed forms' validity window 1 - z c1 e^Theta > 0.  The classical
-forms are the case z c1 = 0, where Gamma is Theta.
+forms are the case z c1 = 0, where Gamma is Theta.  The kernel holds the
+three integrals as piecewise-Chebyshev interpolants on shared pieces (see
+:mod:`booksis.quadrature`): on each piece Theta's values at the nodes
+feed Gamma's integrand and Gamma's feed I's, so one array sample of each
+coefficient per piece replaces the nested adaptive quadratures.
 
 Each closed-form evaluator returns a :class:`Jet`: the state together
 with its exact time derivative.  The derivative is the chain rule
@@ -44,12 +48,27 @@ layer reuses them unchanged.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-from .errors import ExpOverflowError, NonFiniteSampleError
-from .quadrature import DEFAULT_TOLERANCE, cumulative
+import numpy as np
+
+from .errors import (
+    ExpOverflowError,
+    NonFiniteIntegrandError,
+    NonFiniteSampleError,
+    QuadratureConvergenceError,
+    ValidityWindowError,
+)
+from .quadrature import (
+    DEFAULT_TOLERANCE,
+    chebyshev_fit,
+    chebyshev_nodes,
+    check_tolerance,
+    clenshaw,
+)
 from .timefn import CoefficientFunction
 
 __all__ = [
@@ -177,21 +196,141 @@ def exp_checked(arg: float, context: str, t: float | None = None) -> float:
 # sign-scan step and bisection resolution of the validity-window search
 _SCAN_STEP = 0.02
 _BISECTION_TOL = 1e-10
+# scan steps per chunk: the scan builds Theta one chunk (0.5 time units)
+# ahead, and never past the time it was asked for
+_SCAN_CHUNK = 25
+# pieces one extension (or one completion's splits) may build before it
+# gives up with QuadratureConvergenceError
+_PIECE_BUDGET = 100_000
+
+# integrals by index
+_THETA, _GAMMA, _FORCED = range(3)
+
+
+def _samples(f: Callable[[float], float], nodes: np.ndarray) -> np.ndarray:
+    """``f`` at every node: one array call of a :class:`CoefficientFunction`,
+    or a loop for a plain callable, whose values are checked for
+    finiteness here."""
+    sample = getattr(f, "sample", None)
+    if sample is not None:
+        return sample(nodes)
+    return _finite(np.array([f(t) for t in nodes.tolist()], dtype=float), nodes)
+
+
+def _finite(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """``values``; a non-finite one raises :class:`NonFiniteIntegrandError`
+    at its node."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NonFiniteIntegrandError(float(nodes[finite.argmin()]))
+    return values
+
+
+def _exp_nodes(values: np.ndarray, nodes: np.ndarray, context: str) -> np.ndarray:
+    """e^values by ``math.exp``, whose bits do not depend on the machine's
+    vector units as numpy's do; an overflow raises ExpOverflowError."""
+    return np.array([exp_checked(v, context, t)
+                     for v, t in zip(values.tolist(), nodes.tolist())])
+
+
+class _Piece:
+    """One Chebyshev piece [lo, hi]: its nodes, b_a there and, per
+    integral, the :func:`~booksis.quadrature.chebyshev_fit` of its
+    antiderivative (None until built)."""
+
+    __slots__ = ("lo", "hi", "nodes", "b_a", "fits")
+
+    def __init__(self, lo: float, hi: float, nodes: np.ndarray, b_a: np.ndarray, theta_fit):
+        self.lo = lo
+        self.hi = hi
+        self.nodes = nodes
+        self.b_a = b_a
+        self.fits = [theta_fit, None, None]
+
+
+class _Branch:
+    """The pieces on one side of the base point, ordered away from it:
+    piece j lies between ``ends[j]`` and ``ends[j + 1]``.  ``values[i]``
+    holds integral i at the ends, each the previous one plus a piece's
+    integral.  Theta's run to the last end; Gamma's and I's to
+    ``ends[done]``, as the first ``done`` pieces carry all three."""
+
+    __slots__ = ("sign", "ends", "keys", "pieces", "values", "done")
+
+    def __init__(self, a: float, sign: float):
+        self.sign = sign  # +1.0 after the base point, -1.0 before it
+        self.ends = [a]
+        self.keys = [sign * a]  # sign * ends, ascending, for bisect
+        self.pieces: list[_Piece] = []
+        self.values = [[0.0], [0.0], [0.0]]
+        self.done = 0
+
+    def beyond(self, t: float, end: float) -> bool:
+        """Whether ``t`` lies farther from the base point than ``end``."""
+        return self.sign * (t - end) > 0.0
+
+    def start(self, j: int, which: int) -> float:
+        """Integral ``which`` at the lower end of piece j."""
+        near = self.values[which][j]
+        return near if self.sign > 0.0 else near - self.pieces[j].fits[which][2]
+
+    def node_values(self, j: int, which: int) -> np.ndarray:
+        """Integral ``which`` at the nodes of piece j."""
+        return self.start(j, which) + self.pieces[j].fits[which][1]
+
+    def append(self, piece: _Piece, far: float) -> None:
+        self.pieces.append(piece)
+        self.ends.append(far)
+        self.keys.append(self.sign * far)
+        theta = self.values[_THETA]
+        theta.append(theta[-1] + self.sign * piece.fits[_THETA][2])
+
+    def truncate(self, j: int) -> None:
+        """Drop piece j and every piece after it (none of them is done)."""
+        del self.pieces[j:], self.ends[j + 1:], self.keys[j + 1:]
+        del self.values[_THETA][j + 1:]
+
+    def read(self, which: int, t: float) -> float:
+        """Integral ``which`` at ``t``, which a piece that carries it
+        covers: the cumulative sum at an end, else the start value plus
+        the Clenshaw sum of the piece's antiderivative."""
+        key = self.sign * t
+        j = bisect.bisect_left(self.keys, key)
+        if self.keys[j] == key:
+            return self.values[which][j]
+        piece = self.pieces[j - 1]
+        x = (2.0 * t - piece.lo - piece.hi) / (piece.hi - piece.lo)
+        return self.start(j - 1, which) + clenshaw(piece.fits[which][0], x)
 
 
 class BookIntegrals:
-    """Theta, Gamma and I as checkpoint-cached cumulative integrals from
-    ``a``, plus the validity window for ``z_c1`` = z * c1.
+    """Theta, Gamma and I from ``a`` as piecewise-Chebyshev interpolants,
+    plus the validity window for ``z_c1`` = z * c1.
 
-    At z c1 == 0 the Gamma integrand equals b_a bit for bit, so ``gamma``
-    is ``theta`` and ``tol`` splits 50/50 over Theta and I; otherwise it
-    splits 50/25/25 over Theta, Gamma and I.  The order in which a closed
-    form calls them decides where checkpoints land, hence the last bits.
+    The pieces are built lazily and end on the requested times.  On each
+    piece the three integrals share the Chebyshev nodes: b_a sampled there
+    gives Theta's series, Theta's values there give Gamma's integrand
+    b_a / (1 - z c1 e^Theta), and Gamma's give I's, e^Gamma b_b, so no
+    integral is nested in another.  A piece is split when a series does
+    not converge (see :mod:`booksis.quadrature`); each integrand's series
+    converges to its share of ``tol`` per unit time, or to round-off.  At
+    the ends of the pieces the values are cumulative sums of the pieces'
+    integrals; inside a piece they are Clenshaw sums.  Times before ``a``
+    get their own pieces, built towards the past.
 
-    The window [a, t_max) is found by a sign scan in steps of 0.02 from
-    ``a`` and bisection of the first sign change to 1e-10, extended lazily
-    by :meth:`window_end` on the shared Theta cache; for z c1 <= 0 it never
-    ends.  Not safe for unsynchronized shared use (checkpoints mutate).
+    At z c1 == 0 the Gamma integrand is b_a, so ``gamma`` is ``theta`` and
+    ``tol`` splits 50/50 over Theta and I; otherwise it splits 50/25/25
+    over Theta, Gamma and I.  The pieces depend only on the times asked
+    for, not on which integral is asked first.
+
+    The window [a, t_max) is found by a sign scan of 1 - z c1 e^Theta in
+    steps of 0.02 from ``a`` and bisection of the first sign change to
+    1e-10, extended lazily by :meth:`window_end`.  The scan builds Theta
+    alone, one chunk of 25 steps ahead, and reads it from the pieces.
+    Gamma and I are built on a piece when a time in it is asked for; a
+    node there outside the window raises :class:`ValidityWindowError`.
+    For z c1 <= 0 the window never ends.  Not safe for unsynchronized
+    shared use (pieces are added lazily).
 
     ``b_a`` and ``b_b`` are kept for the closed forms' jets: Theta' = b_a,
     Gamma' = b_a / L and I' = e^Gamma b_b.
@@ -199,35 +338,143 @@ class BookIntegrals:
 
     def __init__(self, b_a: CoefficientFunction, b_b: CoefficientFunction,
                  a: float, tol: float = DEFAULT_TOLERANCE, z_c1: float = 0.0):
+        check_tolerance(tol)
         self.b_a = b_a
         self.b_b = b_b
+        self.a = a
         self.z_c1 = z_c1
-        self.theta = theta = cumulative(b_a, a, 0.5 * tol)
-
-        # a closure, not a method: the integrands below must not reference
-        # self, or the caches would live in a cycle until the next GC pass
-        def log_argument(u: float) -> float:
-            """1 - z c1 e^{Theta(u)}, positive inside the validity window."""
-            return 1.0 - z_c1 * exp_checked(theta(u), "validity window", u)
-
-        self.log_argument = log_argument
         if z_c1 == 0.0:
-            self.gamma = gamma = theta
-            forced_tol = 0.5 * tol
+            self._gamma = _THETA
+            self._tols = (0.5 * tol, 0.0, 0.5 * tol)
         else:
-            self.gamma = gamma = cumulative(
-                lambda u: b_a(u) / log_argument(u), a, 0.25 * tol
-            )
-            forced_tol = 0.25 * tol
-        self.forced = cumulative(
-            lambda u: exp_checked(gamma(u), "forced integral", u) * b_b(u),
-            a,
-            forced_tol,
-        )
+            self._gamma = _GAMMA
+            self._tols = (0.5 * tol, 0.25 * tol, 0.25 * tol)
+        self._after = _Branch(a, 1.0)
+        self._before: _Branch | None = None  # built on the first time before a
         self.t_max = math.inf
         self._scanned_to = a
-        if z_c1 > 0.0 and log_argument(a) <= 0.0:
+        if z_c1 > 0.0 and self.log_argument(a) <= 0.0:
             self.t_max = a  # already outside at the base point
+
+    # -- values -------------------------------------------------------------
+
+    def theta(self, t: float) -> float:
+        """Theta(t) = int_a^t b_a."""
+        return self._value(t, _THETA)
+
+    def gamma(self, t: float) -> float:
+        """Gamma(t) = int_a^t b_a / (1 - z c1 e^Theta)."""
+        return self._value(t, self._gamma)
+
+    def forced(self, t: float) -> float:
+        """I(t) = int_a^t e^Gamma b_b."""
+        return self._value(t, _FORCED)
+
+    def log_argument(self, u: float) -> float:
+        """1 - z c1 e^{Theta(u)}, positive inside the validity window.
+        Builds Theta alone, so it is defined past the window too."""
+        branch = self._branch(u)
+        self._extend(branch, u)
+        theta = branch.read(_THETA, u)
+        return 1.0 - self.z_c1 * exp_checked(theta, "validity window", u)
+
+    def _branch(self, t: float) -> _Branch:
+        if not math.isfinite(t):
+            raise ValueError(f"evaluation time must be finite, got {t!r}")
+        if t >= self.a:
+            return self._after
+        if self._before is None:
+            self._before = _Branch(self.a, -1.0)
+        return self._before
+
+    def _value(self, t: float, which: int) -> float:
+        branch = self._branch(t)
+        if branch.beyond(t, branch.ends[branch.done]):
+            self._complete(branch, t)
+        return branch.read(which, t)
+
+    # -- pieces ---------------------------------------------------------------
+
+    def _extend(self, branch: _Branch, t: float) -> None:
+        """Theta pieces from the branch's last end to ``t``; a piece whose
+        series does not converge is replaced by its two halves."""
+        far_ends = [t] if branch.beyond(t, branch.ends[-1]) else []
+        built = 0
+        while far_ends:
+            near, far = branch.ends[-1], far_ends[-1]
+            lo, hi = (near, far) if branch.sign > 0.0 else (far, near)
+            built += 1
+            if built > _PIECE_BUDGET:
+                raise QuadratureConvergenceError(
+                    f"Theta needs more than {_PIECE_BUDGET} pieces", (lo, hi))
+            nodes = chebyshev_nodes(lo, hi)
+            b_a = _samples(self.b_a, nodes)
+            fit = chebyshev_fit(b_a, 0.5 * (hi - lo), self._tols[_THETA])
+            if fit is None:
+                far_ends.append(_midpoint(lo, hi, "Theta"))
+                continue
+            far_ends.pop()
+            branch.append(_Piece(lo, hi, nodes, b_a, fit), far)
+
+    def _complete(self, branch: _Branch, t: float) -> None:
+        """Gamma and I on every piece up to ``t``.  A piece on which one of
+        them does not converge is rebuilt as two halves; one that reaches
+        past ``t`` with a node outside the validity window is rebuilt to
+        end at ``t``."""
+        splits = 0
+        while branch.beyond(t, branch.ends[branch.done]):
+            if branch.done == len(branch.pieces):
+                self._extend(branch, t)
+            j = branch.done
+            cut = self._fit_rest(branch, j, t)
+            if cut is None:
+                continue
+            splits += 1
+            if splits > _PIECE_BUDGET:
+                piece = branch.pieces[j]
+                raise QuadratureConvergenceError(
+                    f"Gamma and I need more than {_PIECE_BUDGET} splits",
+                    (piece.lo, piece.hi))
+            branch.truncate(j)
+            self._extend(branch, cut)
+
+    def _fit_rest(self, branch: _Branch, j: int, t: float) -> float | None:
+        """Fit Gamma and I on piece j, whose predecessors carry them.
+        Returns None when done, else the time at which to cut the piece."""
+        piece = branch.pieces[j]
+        nodes = piece.nodes
+        half = 0.5 * (piece.hi - piece.lo)
+        exponent = branch.node_values(j, _THETA)  # Gamma, which is Theta at z c1 == 0
+        if self._gamma == _GAMMA:
+            with np.errstate(over="ignore"):
+                log_argument = 1.0 - self.z_c1 * _exp_nodes(exponent, nodes, "validity window")
+            outside = np.flatnonzero(log_argument <= 0.0)
+            if outside.size:
+                if branch.beyond(branch.ends[j + 1], t):
+                    return t
+                node = outside[0] if branch.sign > 0.0 else outside[-1]
+                raise ValidityWindowError(t, float(nodes[node]))
+            with np.errstate(over="ignore"):
+                integrand = _finite(piece.b_a / log_argument, nodes)
+            fit = chebyshev_fit(integrand, half, self._tols[_GAMMA])
+            if fit is None:
+                return _midpoint(piece.lo, piece.hi, "Gamma")
+            piece.fits[_GAMMA] = fit
+            exponent = branch.node_values(j, _GAMMA)
+        with np.errstate(over="ignore"):
+            integrand = _exp_nodes(exponent, nodes, "forced integral") * _samples(self.b_b, nodes)
+        fit = chebyshev_fit(_finite(integrand, nodes), half, self._tols[_FORCED])
+        if fit is None:
+            return _midpoint(piece.lo, piece.hi, "I")
+        piece.fits[_FORCED] = fit
+        for which in (_GAMMA, _FORCED):
+            if piece.fits[which] is not None:  # no Gamma of its own at z c1 == 0
+                values = branch.values[which]
+                values.append(values[j] + branch.sign * piece.fits[which][2])
+        branch.done += 1
+        return None
+
+    # -- validity window ----------------------------------------------------------
 
     def window_end(self, t: float) -> float:
         """Extend the sign scan to ``t`` and return t_max, which stays
@@ -237,11 +484,22 @@ class BookIntegrals:
             raise ValueError(f"evaluation time must be finite, got {t!r}")
         if self.z_c1 <= 0.0 or not math.isinf(self.t_max):
             return self.t_max
-        while self._scanned_to < t and math.isinf(self.t_max):
-            nxt = min(self._scanned_to + _SCAN_STEP, t)
-            if self.log_argument(nxt) <= 0.0:
-                self.t_max = self._bisect(self._scanned_to, nxt)
-            self._scanned_to = nxt
+        branch = self._after
+        while self._scanned_to < t:
+            points = []
+            step_to = self._scanned_to
+            while step_to < t and len(points) < _SCAN_CHUNK:
+                step_to = min(step_to + _SCAN_STEP, t)
+                points.append(step_to)
+            self._extend(branch, step_to)
+            previous = self._scanned_to
+            for u in points:
+                if self.log_argument(u) <= 0.0:
+                    self.t_max = self._bisect(previous, u)
+                    self._scanned_to = u
+                    return self.t_max
+                previous = u
+            self._scanned_to = step_to
         return self.t_max
 
     def _bisect(self, lo: float, hi: float) -> float:
@@ -257,6 +515,16 @@ class BookIntegrals:
         return 0.5 * (lo + hi)
 
 
+def _midpoint(lo: float, hi: float, integral: str) -> float:
+    """Where to split [lo, hi] because ``integral``'s series did not
+    converge on it; a piece too narrow to split raises."""
+    mid = 0.5 * (lo + hi)
+    if not lo < mid < hi:
+        raise QuadratureConvergenceError(
+            f"{integral} does not converge on a piece too narrow to split", (lo, hi))
+    return mid
+
+
 def solution_evaluator(
     sys: BookSystem,
     constants: IntegrationConstants,
@@ -265,8 +533,8 @@ def solution_evaluator(
     """Closed-form solution as a reusable evaluator of t returning the
     :class:`Jet` (state, (x', y')).
 
-    The underlying cumulative integrals share their checkpoint caches
-    across calls, so evaluating a whole time grid costs one sweep.
+    The kernel's Chebyshev pieces are shared across calls, so evaluating
+    a whole time grid costs one sweep.
     """
     c1, c2 = constants.c1, constants.c2
     k = BookIntegrals(sys.b_a, sys.b_b, sys.a, tol)
@@ -294,7 +562,7 @@ def exact_solution(
     t: float,
     tol: float = DEFAULT_TOLERANCE,
 ) -> CanonicalState:
-    """Closed-form solution at a single time (fresh quadrature caches)."""
+    """Closed-form solution at a single time (a fresh kernel)."""
     return solution_evaluator(sys, constants, tol)(t).state
 
 

@@ -223,6 +223,8 @@ class _Chart:
 
 
 def _moments_to_xy(values: tuple[float, float]) -> CanonicalState:
+    if values[0] <= 0.0:
+        raise ScenarioError("moments requires a positive initial mean")
     if values[1] <= 0.0:
         raise ScenarioError("moments requires a positive initial variance")
     return sis.to_canonical(sis.state_from_moments(MomentState(*values)))
@@ -485,7 +487,9 @@ def run_scenario(
                 raise NonFiniteSampleError(f"non-finite trial state at t={tv!r}")
             return np.asarray(adapter.rhs(tv, (a0, a1)))
 
-        state0 = np.asarray(exact_states[0])
+        # the scenario's own initial values, so that a closed form with
+        # wrong integration constants shows as a deviation
+        state0 = np.asarray(scenario.initial)
 
         def integrate(times: list[float]):
             problem = oracle.OdeProblem(rhs=vector_rhs, t0=scenario.t_start,

@@ -231,7 +231,7 @@ def deformed_solution_evaluator(
     tol: float = DEFAULT_TOLERANCE,
 ) -> Callable[[float], Jet]:
     """Closed-form deformed solution as an evaluator of t returning the
-    :class:`~booksis.canonical.Jet` (state, (x', y')), with shared caches
+    :class:`~booksis.canonical.Jet` (state, (x', y')), with a shared kernel
     (see :class:`~booksis.canonical.BookIntegrals` for the tolerance
     split).  Every call verifies the requested time against the validity
     window, extending the root scan lazily.  At z c1 = 0 the jets equal

@@ -95,6 +95,11 @@ class SingularLocusError(BooksisError):
         self.state = state
 
 
+class MomentDomainError(BooksisError):
+    """Moment state with a non-positive mean, outside the domain of the
+    moment equations."""
+
+
 class ValidityWindowError(BooksisError):
     """Requested time lies at or beyond the deformed solution's validity
     window (the logarithm argument 1 - z*c1*e^Theta reached zero)."""

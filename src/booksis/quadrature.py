@@ -1,28 +1,58 @@
-"""Adaptive quadrature for the integrals inside the exact solutions.
+"""Quadrature: adaptive Gauss-Kronrod for single integrals, Chebyshev
+pieces for the integral kernel.
 
-A 15-point Kronrod rule with its embedded 7-point Gauss rule supplies the
-per-panel value/error pair; panels are split worst-first until the summed
-error estimate meets the absolute tolerance.  :class:`CumulativeIntegral`
-wraps an integrand together with a base point and caches checkpoints so
-that sweeping a trajectory grid in increasing time costs one pass over
-the axis instead of one full integral per sample.
+:func:`integrate` uses a 15-point Kronrod rule with its embedded 7-point
+Gauss rule for the per-panel value/error pair; panels are split
+worst-first until the summed error estimate meets the absolute tolerance.
+:class:`CumulativeIntegral` wraps an integrand together with a base point
+and caches checkpoints so that sweeping a trajectory grid in increasing
+time costs one pass over the axis instead of one full integral per
+sample.  The closed forms no longer use it (see below); it stays for its
+tests and the benchmark's layer timings.
+
+:func:`chebyshev_fit` is the building block of the closed forms' integral
+kernel, :class:`booksis.canonical.BookIntegrals` (the method of chebfun:
+Battles & Trefethen, SIAM J. Sci. Comput. 2004).  Samples of an integrand
+at the first-kind Chebyshev nodes of a piece give its Chebyshev series,
+which is integrated exactly; :func:`clenshaw` evaluates the resulting
+antiderivative inside the piece.  The series has converged when its last
+quarter of coefficients lies below the tolerance or below round-off
+relative to the samples' scale, whichever is larger (a purely absolute
+test never passes when the tolerance is below the round-off of a large
+integrand); it is then chopped after its last coefficient above
+round-off (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
+2017).  The tables are built on first use, with ``math`` so that they
+are the same bits on every machine.
 
 Integrable singularities are deliberately not handled: when an integrand
 blows up (e.g. the deformed-solution kernels at the validity-window
 edge), the adaptive loop either surfaces a non-finite sample or exhausts
-its panel budget, both as typed errors.
+its panel (or piece) budget, both as typed errors.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import math
 from typing import Callable
 
+import numpy as np
+
 from .errors import NonFiniteIntegrandError, QuadratureConvergenceError
 
-__all__ = ["integrate", "cumulative", "CumulativeIntegral", "DEFAULT_TOLERANCE"]
+__all__ = [
+    "integrate",
+    "cumulative",
+    "CumulativeIntegral",
+    "DEFAULT_TOLERANCE",
+    "check_tolerance",
+    "CHEBYSHEV_NODES",
+    "chebyshev_nodes",
+    "chebyshev_fit",
+    "clenshaw",
+]
 
 # two spare decades below the 1e-6 residual targets of the acceptance suite
 DEFAULT_TOLERANCE = 1e-10
@@ -59,7 +89,8 @@ _WG = (
 )
 
 
-def _check_tolerance(tol: float) -> None:
+def check_tolerance(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is finite and positive."""
     # NaN or inf would let the refinement loop `while err_total > tol` stop
     # at once and return the unrefined first estimate
     if not (0.0 < tol < math.inf):
@@ -112,7 +143,7 @@ def integrate(
     :class:`NonFiniteIntegrandError` on a non-finite sample and
     ``ValueError`` for a non-finite or reversed bound.
     """
-    _check_tolerance(tol)
+    check_tolerance(tol)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"integration bounds must be finite, got [{lo!r}, {hi!r}]")
     if lo > hi:
@@ -177,7 +208,7 @@ class CumulativeIntegral:
 
     def __init__(self, integrand: Callable[[float], float], base_point: float,
                  tol: float = DEFAULT_TOLERANCE):
-        _check_tolerance(tol)
+        check_tolerance(tol)
         self.integrand = integrand
         self.base_point = float(base_point)
         self.tol = tol
@@ -211,3 +242,80 @@ def cumulative(f: Callable[[float], float], a: float,
                tol: float = DEFAULT_TOLERANCE) -> CumulativeIntegral:
     """Checkpoint-cached cumulative integral with base point ``a``."""
     return CumulativeIntegral(f, a, tol)
+
+
+# --- Chebyshev pieces ---------------------------------------------------------------
+
+# samples per piece: a smooth coefficient resolves to round-off over a few
+# time units, and a numpy sample of 32 points costs about what one of 8 does
+CHEBYSHEV_NODES = 32
+
+# coefficients at or below this fraction of a piece's largest sample are
+# round-off: the convergence floor and the chop level
+_ROUNDOFF = 2.0 ** -46
+
+
+@functools.cache
+def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First-kind nodes x_j = cos((j + 1/2) pi / n) in ascending order, the
+    matrix taking samples at them to Chebyshev coefficients, and
+    T_k(x_j) for k = 0..n."""
+    angles = [math.pi * (n - j - 0.5) / n for j in range(n)]
+    nodes = np.array([math.cos(a) for a in angles])
+    t_k = np.array([[math.cos(k * a) for k in range(n + 1)] for a in angles])
+    to_coefficients = (2.0 / n) * t_k[:, :n].T
+    to_coefficients[0] *= 0.5
+    return nodes, to_coefficients, t_k
+
+
+def chebyshev_nodes(lo: float, hi: float) -> np.ndarray:
+    """The ``CHEBYSHEV_NODES`` first-kind Chebyshev nodes of [lo, hi],
+    ascending; none is an endpoint."""
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _tables(CHEBYSHEV_NODES)[0]
+
+
+def chebyshev_fit(values: np.ndarray, half: float, tol: float):
+    """Antiderivative of the integrand sampled as ``values`` at the
+    :func:`chebyshev_nodes` of a piece of half-width ``half``.
+
+    Returns None when the series has not converged (see the module
+    docstring), else ``(series, at_nodes, total)``: the antiderivative's
+    Chebyshev coefficients on the piece, a tuple whose value is 0 at the
+    piece's start, its values at the nodes and its value at the piece's
+    end, the integral over the piece.  Sums run in numpy's fixed pairwise
+    order, not through BLAS, so the bits do not depend on the machine.
+    """
+    n = values.size
+    _, to_coefficients, t_k = _tables(n)
+    # samples near the float limit overflow the sums to inf or NaN: the
+    # test below then fails, or the caller's finite checks raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (to_coefficients * values).sum(axis=1)
+        magnitude = np.abs(c)
+        floor = _ROUNDOFF * float(np.abs(values).max())
+        if not magnitude[-(n // 4):].max() <= max(tol, floor):  # NaN fails too
+            return None
+        above = np.flatnonzero(magnitude > floor)
+        m = int(above[-1]) + 1 if above.size else 1
+        # integrate term by term: A_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
+        # counted twice (int T_0 = T_1), and A_0 makes the antiderivative
+        # vanish at x = -1, where T_k = (-1)^k
+        padded = np.zeros(m + 2)
+        padded[:m] = c[:m]
+        padded[0] *= 2.0
+        a = np.empty(m + 1)
+        a[1:] = half * (padded[:m] - padded[2:]) / (2.0 * np.arange(1, m + 1))
+        a[0] = a[1::2].sum() - a[2::2].sum()
+        at_nodes = (t_k[:, :m + 1] * a).sum(axis=1)
+        total = float(a.sum())
+    return tuple(a.tolist()), at_nodes, total
+
+
+def clenshaw(series: tuple[float, ...], x: float) -> float:
+    """Value at x in [-1, 1] of the Chebyshev series with coefficients
+    ``series``."""
+    b1 = b2 = 0.0
+    x2 = x + x
+    for k in range(len(series) - 1, 0, -1):
+        b1, b2 = series[k] + x2 * b1 - b2, b1
+    return series[0] + x * b1 - b2

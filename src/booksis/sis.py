@@ -40,7 +40,7 @@ from .canonical import (
     exp_checked,
     finite_state,
 )
-from .errors import ExpOverflowError, SingularLocusError
+from .errors import ExpOverflowError, MomentDomainError, SingularLocusError
 from .quadrature import DEFAULT_TOLERANCE
 from .timefn import CoefficientFunction
 
@@ -184,7 +184,7 @@ def sis_solution_evaluator(
 ):
     """Closed-form solution of the time-dependent system as an evaluator
     of t returning the :class:`~booksis.canonical.Jet` (state, (q', p')),
-    with shared quadrature caches.
+    with a shared integral kernel.
 
     With Theta the cumulative integral of rho0 and
     I(t) = c2 + int_a^t exp(Theta(u)) b(u) du:
@@ -230,7 +230,7 @@ def sis_exact_solution(
     t: float,
     tol: float = DEFAULT_TOLERANCE,
 ) -> EpidemicState:
-    """Closed-form solution at a single time (fresh quadrature caches)."""
+    """Closed-form solution at a single time (a fresh kernel)."""
     return sis_solution_evaluator(sys, constants, tol)(t).state
 
 
@@ -288,10 +288,10 @@ def moment_rhs(rho0: float, s: MomentState) -> tuple[float, float]:
     The cleared form stays regular at sigma^2 = 0 (where the density
     equation reduces to the deterministic logistic law); a zero variance
     is therefore accepted even though the logarithmic form is not
-    defined there.
+    defined there.  A non-positive mean raises :class:`MomentDomainError`.
     """
     if s.mean <= 0.0:
-        raise ValueError(f"mean must be positive, got {s.mean!r}")
+        raise MomentDomainError(f"mean must be positive, got {s.mean!r}")
     return (
         s.mean * (rho0 - s.mean) - s.variance,
         2.0 * s.variance * (rho0 - 2.0 * s.mean),

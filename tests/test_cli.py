@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from booksis import sis
+from booksis.canonical import IntegrationConstants
 from booksis.cli import (
     _residual,
     EXIT_DOMAIN,
@@ -18,6 +20,8 @@ from booksis.cli import (
     run_scenario,
 )
 from booksis.errors import ScenarioError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -363,6 +367,38 @@ class TestMainEntryPoint:
         assert main(["run", str(path), "--output", str(tmp_path / "out")]) == EXIT_DOMAIN
         report = json.loads((tmp_path / "out" / "scen.report.json").read_text())
         assert report["domain_exit"] is not None
+
+    def test_run_moments_nonpositive_initial_mean(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path, model="moments",
+            initial={"chart": "moments", "values": [-0.5, 0.1]})
+        assert main(["run", str(path)]) == EXIT_INPUT
+        assert "positive initial mean" in capsys.readouterr().err
+
+    def test_run_moments_mean_crosses_zero(self, tmp_path, capsys):
+        # the variance drives the mean below 0 shortly after t = 0, where
+        # the moment equations are undefined: the oracle stops, typed
+        path = write_scenario(
+            tmp_path, model="moments",
+            initial={"chart": "moments", "values": [0.1, 5.0]})
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == EXIT_DOMAIN
+        report = json.loads((tmp_path / "out" / "scen.report.json").read_text())
+        assert "numerical integration stopped" in report["domain_exit"]["reason"]
+
+    def test_run_catches_wrong_integration_constants(self, monkeypatch):
+        # a constant-rate closed form with the sign of c2 * rho0 flipped:
+        # the oracle starts from the scenario's initial values, not from
+        # the closed form's state at t_start, so the run fails its tolerance
+        original = sis.sis_constant_jet
+
+        def mutated(rho0, constants, t):
+            return original(rho0, IntegrationConstants(constants.c1, -constants.c2), t)
+
+        monkeypatch.setattr(sis, "sis_constant_jet", mutated)
+        _, report, code = run_scenario(ROOT / "scenarios" / "constant_sis.json")
+        assert code == EXIT_TOLERANCE
+        assert report["domain_exit"] is None
+        assert report["max_deviation"] > 1.0
 
     @pytest.mark.parametrize(
         "rho0",

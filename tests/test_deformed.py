@@ -4,8 +4,11 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from booksis.canonical import (
+    BookIntegrals,
     BookSystem,
     CanonicalState,
     IntegrationConstants,
@@ -40,6 +43,7 @@ from booksis.invariants import (
     random_epidemic_state,
 )
 from booksis.oracle import IntegratorConfig, OdeProblem, integrate_ode
+from booksis.quadrature import integrate
 from booksis.sis import (
     EpidemicState,
     SisSystem,
@@ -330,6 +334,87 @@ class TestIntegralKernel:
         }[kind]()
         with pytest.raises(ValueError):
             evaluate(t)
+
+    @given(
+        # frequencies up to 20 need several pieces over [-1, 3]
+        rate=st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 0.5), st.floats(0.2, 20.0)),
+        source=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(0.2, 20.0)),
+        z_c1=st.one_of(st.just(0.0), st.floats(-0.5, 0.05)),
+        times=st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_integrals_match_cold_quadrature(self, rate, source, z_c1, times):
+        # each integral against a cold Kronrod integral of its own integrand,
+        # which reads the kernel's Theta (for Gamma) or Gamma (for I); Theta
+        # stays below 2.5, so z c1 e^Theta < 1 and the window never ends
+        b_a = CF.from_text(f"{rate[0]!r} + {rate[1]!r}*sin({rate[2]!r}*t)")
+        b_b = CF.from_text(f"{source[0]!r} + {source[1]!r}*cos({source[2]!r}*t + 1)")
+        tol = 1e-10
+        k = BookIntegrals(b_a, b_b, 0.0, tol, z_c1)
+        integrands = (
+            (k.theta, b_a),
+            (k.gamma, lambda u: b_a(u) / (1.0 - z_c1 * math.exp(k.theta(u)))),
+            (k.forced, lambda u: math.exp(k.gamma(u)) * b_b(u)),
+        )
+        for t in times:
+            for integral, integrand in integrands:
+                value = integral(t)
+                if t >= 0.0:
+                    cold = integrate(integrand, 0.0, t, 1e-13)
+                else:
+                    cold = -integrate(integrand, t, 0.0, 1e-13)
+                assert abs(value - cold) <= tol
+
+    def test_call_order_does_not_change_bits(self):
+        b_a = CF.from_text("0.5 + 0.3*sin(t)")
+        b_b = CF.from_text("0.5 + 0.2*cos(2*t)")
+        for z_c1 in (0.0, 0.1, -0.4):
+            first = BookIntegrals(b_a, b_b, 0.0, 1e-10, z_c1)
+            second = BookIntegrals(b_a, b_b, 0.0, 1e-10, z_c1)
+            for t in (0.3, 1.7, 1.1, 2.5, -0.4):
+                forced = first.forced(t)
+                gamma = first.gamma(t)
+                theta = first.theta(t)
+                assert (second.theta(t), second.gamma(t), second.forced(t)) == \
+                    (theta, gamma, forced)
+
+    def test_window_scan_stops_sampling_near_the_edge(self):
+        # b_a = 0.5 + ln(3 - t) leaves its domain at t = 3; with the window
+        # edge at t = 1 the scan finds it without sampling b_a near there
+        class Recording:
+            def __init__(self, f):
+                self.f = f
+                self.latest = -math.inf
+
+            def __call__(self, t):
+                self.latest = max(self.latest, t)
+                return self.f(t)
+
+            def sample(self, ts):
+                self.latest = max(self.latest, float(ts.max()))
+                return self.f.sample(ts)
+
+        b_a = Recording(CF.from_text("0.5 + ln(3 - t)"))
+        theta_1 = 3.0 * math.log(3.0) - 2.0 * math.log(2.0) - 0.5  # Theta(1)
+        z = 1.0
+        c1 = math.exp(-theta_1) / z
+        window = validity_window(DeformedBookSystem(BookSystem(b_a, CF.constant(1.0)), z),
+                                 c1, 4.0)
+        assert window.t_max == pytest.approx(1.0, abs=1e-9)
+        assert b_a.latest < 3.0
+
+    def test_missed_narrow_excursion_raises_instead_of_integrating(self):
+        # the 0.02-step scan misses this pulse (t_max = inf), but the Gamma
+        # pieces resolve it, find nodes outside the window and raise
+        pulse = CF.from_text(
+            "300*exp(-((t-1)/0.003)^2) - 300*exp(-((t-1.006)/0.003)^2)")
+        sysd = DeformedBookSystem(BookSystem(pulse, CF.constant(1.0)), 1.0)
+        c = IntegrationConstants(math.exp(-0.8), 1.0)
+        evaluate = deformed_solution_evaluator(sysd, c)
+        evaluate(0.5)
+        with pytest.raises(ValidityWindowError) as err:
+            evaluate(1.5)
+        assert 1.0 < err.value.t_max < 1.006
 
 
 class TestJets:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from booksis.canonical import BookSystem, CanonicalState, IntegrationConstants
 from booksis.canonical import hamiltonian as canonical_hamiltonian
-from booksis.errors import SingularLocusError
+from booksis.errors import MomentDomainError, SingularLocusError
 from booksis.invariants import (
     check_chart_canonicity,
     check_chart_round_trip,
@@ -206,7 +206,7 @@ class TestMoments:
         assert moment_rhs(1.0, MomentState(1.0, 0.25)) == (-0.25, -0.5)
 
     def test_rejects_nonpositive_mean(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MomentDomainError):
             moment_rhs(1.0, MomentState(0.0, 0.1))
 
     def test_rejects_negative_variance(self):

@@ -3,6 +3,7 @@ import operator
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -242,31 +243,46 @@ _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
               "ln": math.log, "abs": abs}
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv, "^": math.pow}
+# numpy's exp, log and power, which may differ from math's by an ulp
+_NUMPY = {"exp": np.exp, "ln": np.log, "^": np.power}
 
 
-def _reference(node, t):
+def _within_ulp(name, value, *args):
+    """numpy's ``name`` at ``args``, after checking it lies within one ulp
+    of ``value``, math's result there."""
+    with np.errstate(all="ignore"):
+        mine = float(_NUMPY[name](*args))
+    assert mine == value or abs(mine - value) <= math.ulp(value), (name, args)
+    return mine
+
+
+def _reference(node, t, numpy_calls=False):
+    """The value of ``node`` at ``t``; with ``numpy_calls`` each exp, ln and
+    ^ takes numpy's result, which must be within an ulp of math's."""
     if isinstance(node, Literal):
         return node.value
     if isinstance(node, TimeVar):
         return t
     if isinstance(node, Neg):
-        return -_reference(node.operand, t)
+        return -_reference(node.operand, t, numpy_calls)
     if isinstance(node, Call):
-        x = _reference(node.arg, t)
+        x = _reference(node.arg, t, numpy_calls)
         if (node.name in ("sin", "cos") and math.isinf(x)) or (
                 node.name == "ln" and x <= 0.0):
             raise EvaluationDomainError(node.name, t, to_text(node))
         try:
-            return _FUNCTIONS[node.name](x)
+            value = _FUNCTIONS[node.name](x)
         except OverflowError:
             raise EvaluationDomainError(node.name, t, to_text(node))
-    a, b = _reference(node.left, t), _reference(node.right, t)
+        return _within_ulp(node.name, value, x) if numpy_calls and node.name in _NUMPY else value
+    a, b = _reference(node.left, t, numpy_calls), _reference(node.right, t, numpy_calls)
     if node.op == "/" and b == 0.0:
         raise EvaluationDomainError(node.op, t, to_text(node))
     try:
-        return _OPERATORS[node.op](a, b)
+        value = _OPERATORS[node.op](a, b)
     except (ValueError, ZeroDivisionError, OverflowError):
         raise EvaluationDomainError(node.op, t, to_text(node))
+    return _within_ulp("^", value, a, b) if numpy_calls and node.op == "^" else value
 
 
 def _outcome(fn, t):
@@ -285,7 +301,27 @@ def _outcome(fn, t):
 @example(BinOp("+", BinOp("*", Literal(2.0), TimeVar()), Literal(0.5)), -1.5)  # c*t + d
 @example(BinOp("+", Literal(1.0), BinOp("*", Literal(0.5), Call("sin", TimeVar()))),
          -1.5)  # a + b*x
+@example(BinOp("/", Literal(1.0), BinOp("/", Literal(1.0), BinOp("-", TimeVar(), TimeVar()))),
+         2.0)  # a division by zero inside a finite value
+# NaN from a failed node that a later node hides: NaN^0 = 1
+@example(BinOp("^", Call("ln", TimeVar()), Literal(0.0)), 1.0)  # fails at -t only
+@example(BinOp("^", Call("sin", BinOp("*", Literal(1e300), BinOp("*", TimeVar(), Literal(1e300)))),
+               Literal(0.0)), 1.0)  # sin of inf
 @settings(max_examples=500, deadline=None)
 def test_compiled_matches_reference(tree, t):
     compiled = CoefficientFunction(tree)
     assert _outcome(compiled, t) == _outcome(lambda t: _reference(tree, t), t)
+    # the array target at several times: the scalar values (numpy's exp, ln
+    # and ^ within an ulp), or an error that the scalar target also raises,
+    # at the same node, at the time the error names
+    ts = [t, -t, 0.5 * t, t + 1.0]
+    try:
+        values = compiled.sample(np.array(ts))
+    except EvaluationDomainError as exc:
+        assert exc.t in ts
+        with pytest.raises(EvaluationDomainError) as scalar:
+            compiled(exc.t)
+        assert scalar.value.subexpression == exc.subexpression
+    else:
+        for u, v in zip(ts, values.tolist()):
+            assert v.hex() == _outcome(lambda s: _reference(tree, s, numpy_calls=True), u)
