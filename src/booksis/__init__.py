@@ -5,7 +5,7 @@ quantum deformations, verified against independent numerical oracles.
 Layers
 ------
 - :mod:`booksis.timefn`     time-dependent coefficient functions
-- :mod:`booksis.quadrature` adaptive integrals behind every closed form
+- :mod:`booksis.quadrature` Kronrod integrals and the Chebyshev pieces of the kernel
 - :mod:`booksis.canonical`  the book system in canonical (x, y) variables
 - :mod:`booksis.sis`        the epidemic (q, p) chart and moment system
 - :mod:`booksis.deformed`   quantum-deformed systems and validity windows

@@ -56,6 +56,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import (
+    BooksisError,
     ExpOverflowError,
     NonFiniteIntegrandError,
     NonFiniteSampleError,
@@ -202,6 +203,11 @@ _SCAN_CHUNK = 25
 # pieces one extension (or one completion's splits) may build before it
 # gives up with QuadratureConvergenceError
 _PIECE_BUDGET = 100_000
+# no piece is split below this width relative to its time: next to a
+# pole the rounding of the nodes makes the samples noisy, narrow pieces
+# pass the convergence test by chance, and the kernel would crawl towards
+# the pole in tiny steps instead of failing
+_MIN_WIDTH = 1e-10
 
 # integrals by index
 _THETA, _GAMMA, _FORCED = range(3)
@@ -312,8 +318,9 @@ class BookIntegrals:
     gives Theta's series, Theta's values there give Gamma's integrand
     b_a / (1 - z c1 e^Theta), and Gamma's give I's, e^Gamma b_b, so no
     integral is nested in another.  A piece is split when a series does
-    not converge (see :mod:`booksis.quadrature`); each integrand's series
-    converges to its share of ``tol`` per unit time, or to round-off.  At
+    not converge (see :mod:`booksis.quadrature`): the truncation error of
+    each piece's integral stays below the integral's share of ``tol``, or
+    at round-off; no piece is split below 1e-10 of its time.  At
     the ends of the pieces the values are cumulative sums of the pieces'
     integrals; inside a piece they are Clenshaw sums.  Times before ``a``
     get their own pieces, built towards the past.
@@ -419,8 +426,8 @@ class BookIntegrals:
     def _complete(self, branch: _Branch, t: float) -> None:
         """Gamma and I on every piece up to ``t``.  A piece on which one of
         them does not converge is rebuilt as two halves; one that reaches
-        past ``t`` with a node outside the validity window is rebuilt to
-        end at ``t``."""
+        past ``t`` with a node outside the validity window is cut at
+        ``t``.  The pieces after it are dropped and rebuilt as needed."""
         splits = 0
         while branch.beyond(t, branch.ends[branch.done]):
             if branch.done == len(branch.pieces):
@@ -435,8 +442,10 @@ class BookIntegrals:
                 raise QuadratureConvergenceError(
                     f"Gamma and I need more than {_PIECE_BUDGET} splits",
                     (piece.lo, piece.hi))
+            far = branch.ends[j + 1]
             branch.truncate(j)
             self._extend(branch, cut)
+            self._extend(branch, far)
 
     def _fit_rest(self, branch: _Branch, j: int, t: float) -> float | None:
         """Fit Gamma and I on piece j, whose predecessors carry them.
@@ -491,7 +500,13 @@ class BookIntegrals:
             while step_to < t and len(points) < _SCAN_CHUNK:
                 step_to = min(step_to + _SCAN_STEP, t)
                 points.append(step_to)
-            self._extend(branch, step_to)
+            try:
+                self._extend(branch, step_to)
+            except BooksisError:
+                # Theta cannot be built over the whole chunk (a coefficient
+                # leaves its domain or has a pole in it, maybe past the
+                # edge): build it to each scan point in turn instead
+                pass
             previous = self._scanned_to
             for u in points:
                 if self.log_argument(u) <= 0.0:
@@ -518,11 +533,10 @@ class BookIntegrals:
 def _midpoint(lo: float, hi: float, integral: str) -> float:
     """Where to split [lo, hi] because ``integral``'s series did not
     converge on it; a piece too narrow to split raises."""
-    mid = 0.5 * (lo + hi)
-    if not lo < mid < hi:
+    if hi - lo < _MIN_WIDTH * max(1.0, abs(lo), abs(hi)):
         raise QuadratureConvergenceError(
             f"{integral} does not converge on a piece too narrow to split", (lo, hi))
-    return mid
+    return 0.5 * (lo + hi)
 
 
 def solution_evaluator(

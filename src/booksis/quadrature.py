@@ -16,12 +16,13 @@ Battles & Trefethen, SIAM J. Sci. Comput. 2004).  Samples of an integrand
 at the first-kind Chebyshev nodes of a piece give its Chebyshev series,
 which is integrated exactly; :func:`clenshaw` evaluates the resulting
 antiderivative inside the piece.  The series has converged when its last
-quarter of coefficients lies below the tolerance or below round-off
-relative to the samples' scale, whichever is larger (a purely absolute
-test never passes when the tolerance is below the round-off of a large
-integrand); it is then chopped after its last coefficient above
-round-off (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS
-2017).  The tables are built on first use, with ``math`` so that they
+quarter of coefficients, times the piece's half-width, lies below the
+tolerance, so that the truncation error of the piece's integral does, or
+when those coefficients lie below round-off relative to the samples'
+scale (a purely absolute test never passes when the tolerance is below
+the round-off of a large integrand); it is then chopped after its last
+coefficient above round-off (Aurentz & Trefethen, "Chopping a Chebyshev
+series", ACM TOMS 2017).  The tables are built on first use, with ``math`` so that they
 are the same bits on every machine.
 
 Integrable singularities are deliberately not handled: when an integrand
@@ -293,7 +294,7 @@ def chebyshev_fit(values: np.ndarray, half: float, tol: float):
         c = (to_coefficients * values).sum(axis=1)
         magnitude = np.abs(c)
         floor = _ROUNDOFF * float(np.abs(values).max())
-        if not magnitude[-(n // 4):].max() <= max(tol, floor):  # NaN fails too
+        if not magnitude[-(n // 4):].max() <= max(tol / half, floor):  # NaN fails too
             return None
         above = np.flatnonzero(magnitude > floor)
         m = int(above[-1]) + 1 if above.size else 1

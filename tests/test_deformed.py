@@ -403,6 +403,31 @@ class TestIntegralKernel:
         assert window.t_max == pytest.approx(1.0, abs=1e-9)
         assert b_a.latest < 3.0
 
+    def test_window_scan_finds_an_edge_before_a_domain_end_in_its_chunk(self):
+        # b_a = 1 - ln(1.1 - t) is undefined from t = 1.1, inside the chunk
+        # [1, 1.5] that holds the edge at t = 1.05: Theta is then built scan
+        # step by scan step, as far as the edge
+        b_a = CF.from_text("1 - ln(1.1 - t)")
+        c1 = math.exp(-integrate(b_a, 0.0, 1.05, 1e-14))
+        window = validity_window(DeformedBookSystem(BookSystem(b_a, CF.constant(1.0)), 1.0),
+                                 c1, 2.0)
+        assert window.t_max == pytest.approx(1.05, abs=1e-9)
+
+    @pytest.mark.parametrize("distance", [1e-4, 1e-6])
+    def test_evaluates_close_to_the_window_edge(self, distance):
+        # near the edge the Gamma integrand b_a / L carries the rounding of
+        # L = 1 - z c1 e^Theta, amplified by 1/L^2; its pieces converge on
+        # their integral's error, as narrow Kronrod panels did
+        sysd = DeformedBookSystem(
+            BookSystem(CF.from_text("1 + 0.2*sin(3*t)"), CF.constant(1.0)), 1.0)
+        c = IntegrationConstants(0.5, 1.0)
+        t_max = validity_window(sysd, c.c1, 2.0).t_max
+        t = t_max - distance
+        state = deformed_solution_evaluator(sysd, c)(t).state
+        theta = t + 0.2 / 3.0 * (1.0 - math.cos(3.0 * t))
+        assert state.x == pytest.approx(-math.log(1.0 - c.c1 * math.exp(theta)), rel=1e-8)
+        assert math.isfinite(state.y)
+
     def test_missed_narrow_excursion_raises_instead_of_integrating(self):
         # the 0.02-step scan misses this pulse (t_max = inf), but the Gamma
         # pieces resolve it, find nodes outside the window and raise
