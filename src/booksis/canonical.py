@@ -246,7 +246,8 @@ class _Piece:
 
     __slots__ = ("lo", "hi", "nodes", "b_a", "fits")
 
-    def __init__(self, lo: float, hi: float, nodes: np.ndarray, b_a: np.ndarray, theta_fit):
+    def __init__(self, lo: float, hi: float, nodes: np.ndarray, b_a: np.ndarray,
+                 theta_fit):
         self.lo = lo
         self.hi = hi
         self.nodes = nodes
@@ -471,7 +472,8 @@ class BookIntegrals:
             piece.fits[_GAMMA] = fit
             exponent = branch.node_values(j, _GAMMA)
         with np.errstate(over="ignore"):
-            integrand = _exp_nodes(exponent, nodes, "forced integral") * _samples(self.b_b, nodes)
+            integrand = (_exp_nodes(exponent, nodes, "forced integral")
+                         * _samples(self.b_b, nodes))
         fit = chebyshev_fit(_finite(integrand, nodes), half, self._tols[_FORCED])
         if fit is None:
             return _midpoint(piece.lo, piece.hi, "I")
