@@ -426,9 +426,10 @@ class BookIntegrals:
 
     def _complete(self, branch: _Branch, t: float) -> None:
         """Gamma and I on every piece up to ``t``.  A piece on which one of
-        them does not converge is rebuilt as two halves; one that reaches
-        past ``t`` with a node outside the validity window is cut at
-        ``t``.  The pieces after it are dropped and rebuilt as needed."""
+        them does not converge is rebuilt as two halves, the second ending
+        at ``t`` if the piece reaches past it; one that reaches past ``t``
+        with a node outside the validity window is cut at ``t``.  The
+        pieces after it are dropped and rebuilt as needed."""
         splits = 0
         while branch.beyond(t, branch.ends[branch.done]):
             if branch.done == len(branch.pieces):
@@ -446,7 +447,7 @@ class BookIntegrals:
             far = branch.ends[j + 1]
             branch.truncate(j)
             self._extend(branch, cut)
-            self._extend(branch, far)
+            self._extend(branch, far if branch.beyond(t, far) else t)
 
     def _fit_rest(self, branch: _Branch, j: int, t: float) -> float | None:
         """Fit Gamma and I on piece j, whose predecessors carry them.
