@@ -380,7 +380,8 @@ class TestIntegralKernel:
 
     def test_window_scan_stops_sampling_near_the_edge(self):
         # b_a = 0.5 + ln(3 - t) leaves its domain at t = 3; with the window
-        # edge at t = 1 the scan finds it without sampling b_a near there
+        # edge at t = 1 the scan samples b_a at most one chunk (25 steps of
+        # 0.02) past the edge, far from t = 3
         class Recording:
             def __init__(self, f):
                 self.f = f
@@ -401,7 +402,7 @@ class TestIntegralKernel:
         window = validity_window(DeformedBookSystem(BookSystem(b_a, CF.constant(1.0)), z),
                                  c1, 4.0)
         assert window.t_max == pytest.approx(1.0, abs=1e-9)
-        assert b_a.latest < 3.0
+        assert b_a.latest <= window.t_max + 0.5
 
     def test_window_scan_finds_an_edge_before_a_domain_end_in_its_chunk(self):
         # b_a = 1 - ln(1.1 - t) is undefined from t = 1.1, inside the chunk
