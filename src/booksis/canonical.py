@@ -23,8 +23,9 @@ deformed forms' validity window 1 - z c1 e^Theta > 0.  The classical
 forms are the case z c1 = 0, where Gamma is Theta.  The kernel holds the
 three integrals as piecewise-Chebyshev interpolants on shared pieces (see
 :mod:`booksis.quadrature`): on each piece Theta's values at the nodes
-feed Gamma's integrand and Gamma's feed I's, so one array sample of each
-coefficient per piece replaces the nested adaptive quadratures.
+feed Gamma's integrand and Gamma's feed I's, so one sample of each
+coefficient at the piece's nodes replaces the nested adaptive
+quadratures.
 
 Each closed-form evaluator returns a :class:`Jet`: the state together
 with its exact time derivative.  The derivative is the chain rule
@@ -214,12 +215,9 @@ _THETA, _GAMMA, _FORCED = range(3)
 
 
 def _samples(f: Callable[[float], float], nodes: np.ndarray) -> np.ndarray:
-    """``f`` at every node: one array call of a :class:`CoefficientFunction`,
-    or a loop for a plain callable, whose values are checked for
-    finiteness here."""
-    sample = getattr(f, "sample", None)
-    if sample is not None:
-        return sample(nodes)
+    """``f`` at every node, one call each.  A :class:`CoefficientFunction`
+    checks its own values; a plain callable's are checked for finiteness
+    here."""
     return _finite(np.array([f(t) for t in nodes.tolist()], dtype=float), nodes)
 
 

@@ -57,6 +57,10 @@ EXIT_TOLERANCE = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
+# most samples a scenario grid may ask for: every sample is a closed-form
+# evaluation, an oracle sample and a CSV row
+MAX_SAMPLES = 10**6
+
 
 # --- scenario files ----------------------------------------------------------
 
@@ -110,8 +114,10 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
     t_start = _as_number(grid.get("t_start"), "grid.t_start")
     t_end = _as_number(grid.get("t_end"), "grid.t_end")
     n_samples = grid.get("n_samples")
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 2:
-        raise ScenarioError(f"grid.n_samples must be an integer >= 2, got {n_samples!r}")
+    if (not isinstance(n_samples, int) or isinstance(n_samples, bool)
+            or not 2 <= n_samples <= MAX_SAMPLES):
+        raise ScenarioError(
+            f"grid.n_samples must be an integer in [2, {MAX_SAMPLES}], got {n_samples!r}")
     if not t_start < t_end:
         raise ScenarioError("grid must satisfy t_start < t_end")
 
@@ -624,6 +630,8 @@ def compare_scenario(
             raise ScenarioError("scenario has z == 0; pass an explicit --z-sweep")
         z_values = [scenario.z, scenario.z / 2.0, scenario.z / 4.0]
     z_values = [float(z) for z in z_values]
+    if not z_values:
+        raise ScenarioError("the z sweep is empty")
 
     grid = [float(t) for t in np.linspace(scenario.t_start, scenario.t_end,
                                           scenario.n_samples)]
@@ -708,7 +716,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     sweep = None
-    if args.z_sweep:
+    if args.z_sweep is not None:
         try:
             sweep = [float(part) for part in args.z_sweep.split(",") if part.strip()]
         except ValueError as exc:

@@ -248,7 +248,7 @@ def cumulative(f: Callable[[float], float], a: float,
 # --- Chebyshev pieces ---------------------------------------------------------------
 
 # samples per piece: a smooth coefficient resolves to round-off over a few
-# time units, and a numpy sample of 32 points costs about what one of 8 does
+# time units
 CHEBYSHEV_NODES = 32
 
 # coefficients at or below this fraction of a piece's largest sample are
@@ -294,7 +294,9 @@ def chebyshev_fit(values: np.ndarray, half: float, tol: float):
         c = (to_coefficients * values).sum(axis=1)
         magnitude = np.abs(c)
         floor = _ROUNDOFF * float(np.abs(values).max())
-        if not magnitude[-(n // 4):].max() <= max(tol / half, floor):  # NaN fails too
+        # a piece one subnormal wide has half-width 0, and integral 0
+        bound = tol / half if half > 0.0 else math.inf
+        if not magnitude[-(n // 4):].max() <= max(bound, floor):  # NaN fails too
             return None
         above = np.flatnonzero(magnitude > floor)
         m = int(above[-1]) + 1 if above.size else 1

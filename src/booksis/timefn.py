@@ -4,19 +4,11 @@ Every non-autonomous system in this package is driven by real-valued
 coefficient functions of time.  A :class:`CoefficientFunction` holds one
 arithmetic expression tree over ``t``: parsed from text, or built by one of
 the constructors for the builtin families (constant, linear, sinusoidal),
-which are plain trees too.  Each tree has two compile targets: nested
-closures of a float ``t`` (``f(t)``), compiled at construction, and
-nested numpy closures of a float array (``f.sample(ts)``), compiled on
-the first ``sample`` call, which evaluate a whole Chebyshev piece of the
-integral kernel in one call.  There is no other evaluation path.  The
-array target makes the scalar target's domain checks; when one fails,
-``sample`` re-evaluates the times with the scalar target, so its error
-is the scalar one (same type, same node text, at a time where the scalar
-target fails).  Its values equal the scalar ones bit for bit for
-``+ - * /``, ``abs``, ``sin`` and ``cos``; numpy's ``exp``, ``ln`` and
-``^`` may differ from ``math``'s in the last bit.  Evaluation is pure
-and deterministic; values are immutable and safe to share across
-threads.
+which are plain trees too.  Each tree is compiled once, at
+construction, into nested closures of a float ``t``; ``f(t)`` is the
+only evaluation path, so every ``sin``, ``cos``, ``exp``, ``ln`` and
+``^`` comes from :mod:`math`.  Evaluation is pure and deterministic; values are
+immutable and safe to share across threads.
 
 Expression grammar (whitespace insignificant)::
 
@@ -39,8 +31,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Union
-
-import numpy as np
 
 from .errors import (
     ArityMismatchError,
@@ -439,110 +429,21 @@ def _compile_call(node: Call) -> Callable[[float], float]:
     return ln
 
 
-# --- array compilation -----------------------------------------------------------
-
-def _check(fails, t: np.ndarray, message: Callable[[int], str], node: ExpressionAst) -> None:
-    """Raise the domain error of ``node`` at the first time where the
-    boolean array (or scalar) ``fails`` holds; ``message`` maps that
-    time's index to the scalar target's message text."""
-    if np.any(fails):
-        i = int(np.broadcast_to(fails, t.shape).argmax())
-        raise EvaluationDomainError(message(i), float(t[i]), to_text(node))
-
-
-def _at(x, t: np.ndarray, i: int) -> float:
-    """Operand ``x`` (array or scalar) at time index ``i``, as a float."""
-    return float(np.broadcast_to(x, t.shape)[i])
-
-
-_ARRAY_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
-_ARRAY_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log, "abs": np.abs}
-
-
-def _compile_array(node: ExpressionAst) -> Callable[[np.ndarray], np.ndarray]:
-    """Nested numpy closures that evaluate ``node`` at every time of a
-    float array, with the domain checks of :func:`_compile` made on all
-    times at once; a constant subtree gives a scalar.  Run under
-    ``np.errstate(all="ignore")``: the checks, not warnings, report."""
-    if isinstance(node, Literal):
-        value = node.value
-        return lambda t: value
-    if isinstance(node, TimeVar):
-        return lambda t: t
-    if isinstance(node, Neg):
-        operand = _compile_array(node.operand)
-        return lambda t: -operand(t)
-    if isinstance(node, Call):
-        return _compile_array_call(node)
-    f, g = _compile_array(node.left), _compile_array(node.right)
-    if node.op in _ARRAY_ARITH:
-        op = _ARRAY_ARITH[node.op]
-        return lambda t: op(f(t), g(t))
-    if node.op == "/":
-        def divide(t):
-            a = f(t)
-            b = g(t)
-            _check(b == 0.0, t, lambda i: "division by zero", node)
-            return np.divide(a, b)
-        return divide
-
-    def power(t):
-        # math.pow fails only on finite operands with a non-finite result:
-        # NaN or 0 to a negative power is a domain error, inf an overflow
-        a = f(t)
-        b = g(t)
-        r = np.power(a, b)
-        fails = np.isfinite(a) & np.isfinite(b) & ~np.isfinite(r)
-        _check(fails, t, lambda i: (
-            "math domain error" if math.isnan(_at(r, t, i)) or _at(a, t, i) == 0.0
-            else "overflow in power"), node)
-        return r
-    return power
-
-
-def _compile_array_call(node: Call) -> Callable[[np.ndarray], np.ndarray]:
-    name = node.name
-    arg = _compile_array(node.arg)
-    fn = _ARRAY_CALLS[name]
-    if name == "sin" or name == "cos":
-        def trig(t):
-            x = arg(t)
-            _check(np.isinf(x), t, lambda i: f"{name} of {_at(x, t, i)!r}", node)
-            return fn(x)
-        return trig
-    if name == "exp":
-        def exp(t):
-            x = arg(t)
-            r = fn(x)
-            _check(np.isfinite(x) & ~np.isfinite(r), t, lambda i: "overflow in exp", node)
-            return r
-        return exp
-    if name == "ln":
-        def ln(t):
-            x = arg(t)
-            _check(x <= 0.0, t,
-                   lambda i: f"ln of non-positive argument {_at(x, t, i)!r}", node)
-            return fn(x)
-        return ln
-    return lambda t: fn(arg(t))
-
-
 # --- coefficient functions -----------------------------------------------------
 
 @dataclass(frozen=True)
 class CoefficientFunction:
     """A real-valued function of time ``t``, held as its expression tree.
 
-    The tree is compiled once, at construction.  Instances are callable:
+    The tree is compiled once, at construction, into nested closures.
+    Instances are callable, and that is their one evaluation path:
     ``f(t)`` evaluates the function to a finite real or raises
-    :class:`EvaluationDomainError`.
+    :class:`EvaluationDomainError`.  The integral kernel samples a piece
+    as ``[f(t) for t in nodes]``.
     """
 
     ast: ExpressionAst
     _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
-    # the array target, compiled on the first call of sample
-    _compiled_array: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_compiled", _compile(self.ast))
@@ -582,22 +483,6 @@ class CoefficientFunction:
         if not math.isfinite(v):
             raise EvaluationDomainError("non-finite value", t, to_text(self.ast))
         return v
-
-    def sample(self, ts: np.ndarray) -> np.ndarray:
-        """Values at every time of the float array ``ts``, from the array
-        target.  When a domain check fails there, the times are evaluated
-        one by one with ``f(t)``, which raises the scalar target's error at
-        the first time where it fails (or, should the two targets disagree
-        on a value within an ulp of an overflow, returns its values)."""
-        if self._compiled_array is None:
-            object.__setattr__(self, "_compiled_array", _compile_array(self.ast))
-        try:
-            with np.errstate(all="ignore"):
-                v = self._compiled_array(ts)
-                _check(~np.isfinite(v), ts, lambda i: "non-finite value", self.ast)
-        except EvaluationDomainError:
-            return np.array([self(t) for t in ts.tolist()])
-        return np.full(ts.shape, v) if np.ndim(v) == 0 else np.array(v, dtype=float)
 
     # -- introspection ----------------------------------------------------
 

@@ -425,16 +425,20 @@ class TestMainEntryPoint:
             ("t_end", 400, "grid.t_end must be finite"),
             # past Python's 4300-digit limit json.loads itself refuses it
             ("z", 5000, "invalid JSON"),
+            # a float, but far more samples than a grid may hold
+            ("n_samples", 16, "grid.n_samples must be an integer in [2, 1000000]"),
         ],
-        ids=["z", "initial-value", "t-end", "past-digit-limit"],
+        ids=["z", "initial-value", "t-end", "past-digit-limit", "n-samples"],
     )
     def test_run_rejects_huge_integer(self, tmp_path, capsys, field, digits, message):
-        # an integer too large for a float
+        # an integer too large for a float, or for its field
         doc = deformed_book_doc()
         if field == "z":
             doc["z"] = 7.25
         elif field == "initial":
             doc["initial"]["values"][0] = 7.25
+        elif field == "n_samples":
+            doc["grid"]["n_samples"] = 7.25
         else:
             doc["grid"]["t_end"] = 7.25
         path = tmp_path / "big.json"
@@ -486,3 +490,14 @@ class TestMainEntryPoint:
         code = main(["compare", str(path), "--z-sweep", "1e-2,5e-3"])
         assert code == EXIT_PASS
         assert "dev_vs_classical" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sweep", [",", " ", ""])
+    def test_compare_rejects_empty_sweep(self, tmp_path, capsys, sweep):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(deformed_book_doc()))
+        assert main(["compare", str(path), "--z-sweep", sweep]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "the z sweep is empty" in captured.err
+        assert "dev_vs_classical" not in captured.out
+        with pytest.raises(ScenarioError, match="the z sweep is empty"):
+            compare_scenario(path, [])

@@ -4,7 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from booksis.canonical import (
@@ -43,7 +43,7 @@ from booksis.invariants import (
     random_epidemic_state,
 )
 from booksis.oracle import IntegratorConfig, OdeProblem, integrate_ode
-from booksis.quadrature import integrate
+from booksis.quadrature import CHEBYSHEV_NODES, integrate
 from booksis.sis import (
     EpidemicState,
     SisSystem,
@@ -342,6 +342,8 @@ class TestIntegralKernel:
         z_c1=st.one_of(st.just(0.0), st.floats(-0.5, 0.05)),
         times=st.lists(st.floats(-1.0, 3.0), min_size=1, max_size=4),
     )
+    # a piece one subnormal wide, whose half-width rounds to 0
+    @example(rate=(0.0, 0.0, 1.0), source=(0.0, 0.0, 1.0), z_c1=0.0, times=[5e-324])
     @settings(max_examples=40, deadline=None)
     def test_integrals_match_cold_quadrature(self, rate, source, z_c1, times):
         # each integral against a cold Kronrod integral of its own integrand,
@@ -364,6 +366,22 @@ class TestIntegralKernel:
                 else:
                     cold = -integrate(integrand, t, 0.0, 1e-13)
                 assert abs(value - cold) <= tol
+
+    def test_every_sample_goes_through_call(self, monkeypatch):
+        # the kernel samples a coefficient only through f(t), the one
+        # evaluation path (and the boundary a tracer wraps): one piece of
+        # Theta calls b_a once per Chebyshev node
+        calls = []
+        call = CF.__call__
+
+        def counting(self, t):
+            calls.append(self)
+            return call(self, t)
+
+        monkeypatch.setattr(CF, "__call__", counting)
+        b_a = CF.from_text("0.5 + 0.3*sin(t)")
+        BookIntegrals(b_a, CF.constant(0.5), 0.0, 1e-10, 0.0).theta(0.5)
+        assert sum(f is b_a for f in calls) == CHEBYSHEV_NODES
 
     def test_call_order_does_not_change_bits(self):
         b_a = CF.from_text("0.5 + 0.3*sin(t)")
@@ -390,10 +408,6 @@ class TestIntegralKernel:
             def __call__(self, t):
                 self.latest = max(self.latest, t)
                 return self.f(t)
-
-            def sample(self, ts):
-                self.latest = max(self.latest, float(ts.max()))
-                return self.f.sample(ts)
 
         b_a = Recording(CF.from_text("0.5 + ln(3 - t)"))
         theta_1 = 3.0 * math.log(3.0) - 2.0 * math.log(2.0) - 0.5  # Theta(1)
