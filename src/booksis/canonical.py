@@ -19,7 +19,9 @@ with Theta(t) the cumulative integral of b_a from the base point ``a``.
 Every closed form in the package is a few lines of algebra on one
 integral kernel, :class:`BookIntegrals`: Theta = int b_a, Gamma =
 int b_a / (1 - z c1 e^Theta) and I = int e^Gamma b_b from ``a``, plus the
-deformed forms' validity window 1 - z c1 e^Theta > 0.  The classical
+deformed forms' validity window 1 - z c1 e^Theta > 0.  The solutions are
+initial-value solutions fitted at ``a``, so the kernel runs forwards only:
+a time before ``a`` raises ``ValueError``.  The classical
 forms are the case z c1 = 0, where Gamma is Theta.  The kernel holds the
 three integrals as piecewise-Chebyshev interpolants on shared pieces (see
 :mod:`booksis.quadrature`): on each piece Theta's values at the nodes
@@ -238,74 +240,16 @@ def _exp_nodes(values: np.ndarray, nodes: np.ndarray, context: str) -> np.ndarra
 
 
 class _Piece:
-    """One Chebyshev piece [lo, hi]: its nodes, b_a there and, per
-    integral, the :func:`~booksis.quadrature.chebyshev_fit` of its
-    antiderivative (None until built)."""
+    """One Chebyshev piece: its nodes, b_a there and, per integral, the
+    :func:`~booksis.quadrature.chebyshev_fit` of its antiderivative (None
+    until built)."""
 
-    __slots__ = ("lo", "hi", "nodes", "b_a", "fits")
+    __slots__ = ("nodes", "b_a", "fits")
 
-    def __init__(self, lo: float, hi: float, nodes: np.ndarray, b_a: np.ndarray,
-                 theta_fit):
-        self.lo = lo
-        self.hi = hi
+    def __init__(self, nodes: np.ndarray, b_a: np.ndarray, theta_fit):
         self.nodes = nodes
         self.b_a = b_a
         self.fits = [theta_fit, None, None]
-
-
-class _Branch:
-    """The pieces on one side of the base point, ordered away from it:
-    piece j lies between ``ends[j]`` and ``ends[j + 1]``.  ``values[i]``
-    holds integral i at the ends, each the previous one plus a piece's
-    integral.  Theta's run to the last end; Gamma's and I's to
-    ``ends[done]``, as the first ``done`` pieces carry all three."""
-
-    __slots__ = ("sign", "ends", "keys", "pieces", "values", "done")
-
-    def __init__(self, a: float, sign: float):
-        self.sign = sign  # +1.0 after the base point, -1.0 before it
-        self.ends = [a]
-        self.keys = [sign * a]  # sign * ends, ascending, for bisect
-        self.pieces: list[_Piece] = []
-        self.values = [[0.0], [0.0], [0.0]]
-        self.done = 0
-
-    def beyond(self, t: float, end: float) -> bool:
-        """Whether ``t`` lies farther from the base point than ``end``."""
-        return self.sign * (t - end) > 0.0
-
-    def start(self, j: int, which: int) -> float:
-        """Integral ``which`` at the lower end of piece j."""
-        near = self.values[which][j]
-        return near if self.sign > 0.0 else near - self.pieces[j].fits[which][2]
-
-    def node_values(self, j: int, which: int) -> np.ndarray:
-        """Integral ``which`` at the nodes of piece j."""
-        return self.start(j, which) + self.pieces[j].fits[which][1]
-
-    def append(self, piece: _Piece, far: float) -> None:
-        self.pieces.append(piece)
-        self.ends.append(far)
-        self.keys.append(self.sign * far)
-        theta = self.values[_THETA]
-        theta.append(theta[-1] + self.sign * piece.fits[_THETA][2])
-
-    def truncate(self, j: int) -> None:
-        """Drop piece j and every piece after it (none of them is done)."""
-        del self.pieces[j:], self.ends[j + 1:], self.keys[j + 1:]
-        del self.values[_THETA][j + 1:]
-
-    def read(self, which: int, t: float) -> float:
-        """Integral ``which`` at ``t``, which a piece that carries it
-        covers: the cumulative sum at an end, else the start value plus
-        the Clenshaw sum of the piece's antiderivative."""
-        key = self.sign * t
-        j = bisect.bisect_left(self.keys, key)
-        if self.keys[j] == key:
-            return self.values[which][j]
-        piece = self.pieces[j - 1]
-        x = (2.0 * t - piece.lo - piece.hi) / (piece.hi - piece.lo)
-        return self.start(j - 1, which) + clenshaw(piece.fits[which][0], x)
 
 
 class BookIntegrals:
@@ -321,8 +265,9 @@ class BookIntegrals:
     each piece's integral stays below the integral's share of ``tol``, or
     at round-off; no piece is split below 1e-10 of its time.  At
     the ends of the pieces the values are cumulative sums of the pieces'
-    integrals; inside a piece they are Clenshaw sums.  Times before ``a``
-    get their own pieces, built towards the past.
+    integrals; inside a piece they are Clenshaw sums.  The pieces grow
+    forwards from ``a``: a time before it, or one that is not finite,
+    raises ``ValueError``.
 
     At z c1 == 0 the Gamma integrand is b_a, so ``gamma`` is ``theta`` and
     ``tol`` splits 50/50 over Theta and I; otherwise it splits 50/25/25
@@ -355,11 +300,18 @@ class BookIntegrals:
         else:
             self._gamma = _GAMMA
             self._tols = (0.5 * tol, 0.25 * tol, 0.25 * tol)
-        self._after = _Branch(a, 1.0)
-        self._before: _Branch | None = None  # built on the first time before a
+        # piece j lies between _ends[j] and _ends[j + 1]; _values[i] holds
+        # integral i at the ends, each the previous one plus a piece's
+        # integral.  Theta's run to the last end; Gamma's and I's to
+        # _ends[_done], as the first _done pieces carry all three.
+        self._ends = [a]
+        self._pieces: list[_Piece] = []
+        self._values = [[0.0], [0.0], [0.0]]
+        self._done = 0
         self.t_max = math.inf
         self._scanned_to = a
-        if z_c1 > 0.0 and self.log_argument(a) <= 0.0:
+        # Theta(a) == 0, so 1 - z c1 e^Theta(a) <= 0 exactly when z c1 >= 1
+        if z_c1 >= 1.0:
             self.t_max = a  # already outside at the base point
 
     # -- values -------------------------------------------------------------
@@ -379,36 +331,44 @@ class BookIntegrals:
     def log_argument(self, u: float) -> float:
         """1 - z c1 e^{Theta(u)}, positive inside the validity window.
         Builds Theta alone, so it is defined past the window too."""
-        branch = self._branch(u)
-        self._extend(branch, u)
-        theta = branch.read(_THETA, u)
+        self._check_time(u)
+        self._extend(u)
+        theta = self._read(_THETA, u)
         return 1.0 - self.z_c1 * exp_checked(theta, "validity window", u)
 
-    def _branch(self, t: float) -> _Branch:
-        if not math.isfinite(t):
-            raise ValueError(f"evaluation time must be finite, got {t!r}")
-        if t >= self.a:
-            return self._after
-        if self._before is None:
-            self._before = _Branch(self.a, -1.0)
-        return self._before
+    def _check_time(self, t: float) -> None:
+        if not (math.isfinite(t) and t >= self.a):
+            raise ValueError(
+                f"evaluation time must be finite and not before the base point "
+                f"{self.a!r}, got {t!r}")
 
     def _value(self, t: float, which: int) -> float:
-        branch = self._branch(t)
-        if branch.beyond(t, branch.ends[branch.done]):
-            self._complete(branch, t)
-        return branch.read(which, t)
+        self._check_time(t)
+        if t > self._ends[self._done]:
+            self._complete(t)
+        return self._read(which, t)
+
+    def _read(self, which: int, t: float) -> float:
+        """Integral ``which`` at ``t``, which a piece that carries it
+        covers: the cumulative sum at an end, else the start value plus
+        the Clenshaw sum of the piece's antiderivative."""
+        ends = self._ends
+        j = bisect.bisect_left(ends, t)
+        if ends[j] == t:
+            return self._values[which][j]
+        lo, hi = ends[j - 1], ends[j]
+        x = (2.0 * t - lo - hi) / (hi - lo)
+        return self._values[which][j - 1] + clenshaw(self._pieces[j - 1].fits[which][0], x)
 
     # -- pieces ---------------------------------------------------------------
 
-    def _extend(self, branch: _Branch, t: float) -> None:
-        """Theta pieces from the branch's last end to ``t``; a piece whose
-        series does not converge is replaced by its two halves."""
-        far_ends = [t] if branch.beyond(t, branch.ends[-1]) else []
+    def _extend(self, t: float) -> None:
+        """Theta pieces from the last end to ``t``; a piece whose series
+        does not converge is replaced by its two halves."""
+        far_ends = [t] if t > self._ends[-1] else []
         built = 0
         while far_ends:
-            near, far = branch.ends[-1], far_ends[-1]
-            lo, hi = (near, far) if branch.sign > 0.0 else (far, near)
+            lo, hi = self._ends[-1], far_ends[-1]
             built += 1
             if built > _PIECE_BUDGET:
                 raise QuadratureConvergenceError(
@@ -420,81 +380,83 @@ class BookIntegrals:
                 far_ends.append(_midpoint(lo, hi, "Theta"))
                 continue
             far_ends.pop()
-            branch.append(_Piece(lo, hi, nodes, b_a, fit), far)
+            self._pieces.append(_Piece(nodes, b_a, fit))
+            self._ends.append(hi)
+            theta = self._values[_THETA]
+            theta.append(theta[-1] + fit[2])
 
-    def _complete(self, branch: _Branch, t: float) -> None:
+    def _complete(self, t: float) -> None:
         """Gamma and I on every piece up to ``t``.  A piece on which one of
         them does not converge is rebuilt as two halves, the second ending
         at ``t`` if the piece reaches past it; one that reaches past ``t``
         with a node outside the validity window is cut at ``t``.  The
         pieces after it are dropped and rebuilt as needed."""
         splits = 0
-        while branch.beyond(t, branch.ends[branch.done]):
-            if branch.done == len(branch.pieces):
-                self._extend(branch, t)
-            j = branch.done
-            cut = self._fit_rest(branch, j, t)
+        while t > self._ends[self._done]:
+            if self._done == len(self._pieces):
+                self._extend(t)
+            j = self._done
+            cut = self._fit_rest(j, t)
             if cut is None:
                 continue
             splits += 1
+            far = self._ends[j + 1]
             if splits > _PIECE_BUDGET:
-                piece = branch.pieces[j]
                 raise QuadratureConvergenceError(
                     f"Gamma and I need more than {_PIECE_BUDGET} splits",
-                    (piece.lo, piece.hi))
-            far = branch.ends[j + 1]
-            branch.truncate(j)
-            self._extend(branch, cut)
-            self._extend(branch, far if branch.beyond(t, far) else t)
+                    (self._ends[j], far))
+            del self._pieces[j:], self._ends[j + 1:], self._values[_THETA][j + 1:]
+            self._extend(cut)
+            self._extend(min(far, t))
 
-    def _fit_rest(self, branch: _Branch, j: int, t: float) -> float | None:
+    def _fit_rest(self, j: int, t: float) -> float | None:
         """Fit Gamma and I on piece j, whose predecessors carry them.
         Returns None when done, else the time at which to cut the piece."""
-        piece = branch.pieces[j]
+        piece = self._pieces[j]
         nodes = piece.nodes
-        half = 0.5 * (piece.hi - piece.lo)
-        exponent = branch.node_values(j, _THETA)  # Gamma, which is Theta at z c1 == 0
+        lo, hi = self._ends[j], self._ends[j + 1]
+        half = 0.5 * (hi - lo)
+        # Gamma, which is Theta at z c1 == 0
+        exponent = self._values[_THETA][j] + piece.fits[_THETA][1]
         if self._gamma == _GAMMA:
             with np.errstate(over="ignore"):
                 log_argument = 1.0 - self.z_c1 * _exp_nodes(exponent, nodes, "validity window")
             outside = np.flatnonzero(log_argument <= 0.0)
             if outside.size:
-                if branch.beyond(branch.ends[j + 1], t):
+                if hi > t:
                     return t
-                node = outside[0] if branch.sign > 0.0 else outside[-1]
-                raise ValidityWindowError(t, float(nodes[node]))
+                raise ValidityWindowError(t, float(nodes[outside[0]]))
             with np.errstate(over="ignore"):
                 integrand = _finite(piece.b_a / log_argument, nodes)
             fit = chebyshev_fit(integrand, half, self._tols[_GAMMA])
             if fit is None:
-                return _midpoint(piece.lo, piece.hi, "Gamma")
+                return _midpoint(lo, hi, "Gamma")
             piece.fits[_GAMMA] = fit
-            exponent = branch.node_values(j, _GAMMA)
+            exponent = self._values[_GAMMA][j] + fit[1]
         with np.errstate(over="ignore"):
             integrand = (_exp_nodes(exponent, nodes, "forced integral")
                          * _samples(self.b_b, nodes))
         fit = chebyshev_fit(_finite(integrand, nodes), half, self._tols[_FORCED])
         if fit is None:
-            return _midpoint(piece.lo, piece.hi, "I")
+            return _midpoint(lo, hi, "I")
         piece.fits[_FORCED] = fit
         for which in (_GAMMA, _FORCED):
             if piece.fits[which] is not None:  # no Gamma of its own at z c1 == 0
-                values = branch.values[which]
-                values.append(values[j] + branch.sign * piece.fits[which][2])
-        branch.done += 1
+                values = self._values[which]
+                values.append(values[j] + piece.fits[which][2])
+        self._done += 1
         return None
 
     # -- validity window ----------------------------------------------------------
 
     def window_end(self, t: float) -> float:
         """Extend the sign scan to ``t`` and return t_max, which stays
-        inf while no window edge lies in [a, t]; a non-finite ``t`` raises
-        ``ValueError``, as the scan to it would never end."""
-        if not math.isfinite(t):
-            raise ValueError(f"evaluation time must be finite, got {t!r}")
+        inf while no window edge lies in [a, t]; a non-finite ``t``, to
+        which the scan would never end, or one before ``a`` raises
+        ``ValueError``."""
+        self._check_time(t)
         if self.z_c1 <= 0.0 or not math.isinf(self.t_max):
             return self.t_max
-        branch = self._after
         while self._scanned_to < t:
             points = []
             step_to = self._scanned_to
@@ -502,7 +464,7 @@ class BookIntegrals:
                 step_to = min(step_to + _SCAN_STEP, t)
                 points.append(step_to)
             try:
-                self._extend(branch, step_to)
+                self._extend(step_to)
             except BooksisError:
                 # Theta cannot be built over the whole chunk (a coefficient
                 # leaves its domain or has a pole in it, maybe past the

@@ -234,17 +234,17 @@ def deformed_solution_evaluator(
     :class:`~booksis.canonical.Jet` (state, (x', y')), with a shared kernel
     (see :class:`~booksis.canonical.BookIntegrals` for the tolerance
     split).  Every call verifies the requested time against the validity
-    window, extending the root scan lazily.  At z c1 = 0 the jets equal
+    window, extending the root scan lazily; a time before the base point
+    raises ``ValueError``.  At z c1 = 0 the jets equal
     the classical :func:`~booksis.canonical.solution_evaluator`'s bit for
     bit.
     """
     z = sys.z
     c1, c2 = constants.c1, constants.c2
-    a = sys.base.a
-    k = BookIntegrals(sys.base.b_a, sys.base.b_b, a, tol, z * c1)
+    k = BookIntegrals(sys.base.b_a, sys.base.b_b, sys.base.a, tol, z * c1)
 
     def evaluate(t: float) -> Jet:
-        if t >= a and t >= k.window_end(t):
+        if t >= k.window_end(t):
             raise ValidityWindowError(t, k.t_max)
         growth = exp_checked(k.theta(t), "deformed solution", t)
         w = z * c1 * growth
@@ -349,17 +349,18 @@ def deformed_sis_solution_evaluator(
 
     This is an independent code path from composing the canonical
     deformed solution with the chart map; the two agree wherever both
-    are defined.
+    are defined.  As in :func:`deformed_solution_evaluator`, every call
+    checks the validity window, and a time before the base point raises
+    ``ValueError``.
     """
     z = sys.z
     c1, c2 = constants.c1, constants.c2
     if c1 == 0.0:
         raise ValueError("c1 must be nonzero")
-    a = sys.base.a
-    k = BookIntegrals(sys.base.rho0, sys.base.b, a, tol, z * c1)
+    k = BookIntegrals(sys.base.rho0, sys.base.b, sys.base.a, tol, z * c1)
 
     def evaluate(t: float) -> Jet:
-        if t >= a and t >= k.window_end(t):
+        if t >= k.window_end(t):
             raise ValidityWindowError(t, k.t_max)
         growth = exp_checked(k.theta(t), "deformed SIS solution", t)
         w = z * c1 * growth

@@ -276,7 +276,9 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
             )
         h = min(h, t_end - t, config.max_step)
         h_min = 16.0 * math.ulp(max(abs(t), 1.0))
-        if h < h_min:
+        # a step that lands on t_end may be shorter than h_min; one that
+        # rejections shrank below it means the solution is blowing up
+        if h < h_min and h != t_end - t:
             raise StepSizeUnderflowError(
                 f"step size {h!r} underflowed below {h_min!r}", t
             )

@@ -71,7 +71,7 @@ class TestExactSolution:
 
     def test_zero_coefficients_frozen(self):
         sysb = const_system(0, 0)
-        for t in (0.0, 1.0, 7.5, -2.0):
+        for t in (0.0, 1.0, 7.5):
             s = exact_solution(sysb, IntegrationConstants(0.7, -1.3), t)
             assert s.x == pytest.approx(0.7, abs=1e-12)
             assert s.y == pytest.approx(-1.3, abs=1e-12)

@@ -314,6 +314,13 @@ class TestMainEntryPoint:
         assert code == EXIT_PASS
         assert "pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_end", [1e-15, 5e-324])
+    def test_run_grid_shorter_than_oracle_minimum_step(self, tmp_path, capsys, t_end):
+        # the adaptive oracle's minimum step is 16 ulp(1) = 3.55e-15
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(deformed_book_doc(t_end=t_end, n=2)))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == EXIT_PASS
+
     def test_run_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json")])
         assert code == EXIT_INPUT

@@ -199,6 +199,18 @@ class TestSharedSampler:
         assert sol.stats["steps"] == 0
         assert list(sol.stats) == self.STATS_KEYS[method]
 
+    @pytest.mark.parametrize("span", [1e-15, 5e-324])
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    def test_span_below_minimum_step(self, method, span):
+        # the span is shorter than the adaptive method's minimum step of
+        # 16 ulp(1); one step lands on t_end.  A sample within 1e-14 of a
+        # step's end is read on that step, so the one at t_end may be read
+        # at t0: equal to e^span up to that slack
+        sol = integrate_ode(exponential_problem(span), IntegratorConfig(method=method),
+                            [0.0, span])
+        assert sol.states[1][0] == pytest.approx(math.exp(span), rel=1e-14, abs=0.0)
+        assert sol.stats["steps"] == 1
+
     @pytest.mark.parametrize("method", ["adaptive", "fixed"])
     def test_sample_at_t0_is_state0(self, method):
         problem = exponential_problem()
