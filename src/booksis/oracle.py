@@ -191,11 +191,14 @@ def integrate_ode(
         return f
 
     # each accepted step carries its endpoint values and derivatives; a
-    # sample is placed on the first step that reaches it
+    # sample is placed on the first step that reaches it, up to round-off
+    # past its end, except that the zero-length step at t0 takes only the
+    # samples at or before t0
     out = np.empty((len(ts), dim))
     cursor = 0
     for t, t_new, y, y_new, f, f_new in stepper(problem, config, eval_rhs, stats):
-        while cursor < len(ts) and ts[cursor] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+        reach = t_new + 1e-14 * max(1.0, abs(t_new)) if t_new > t else t_new
+        while cursor < len(ts) and ts[cursor] <= reach:
             out[cursor] = _hermite(ts[cursor], t, t_new, y, y_new, f, f_new)
             cursor += 1
     out[cursor:] = y_new  # numerical slack at the right endpoint
