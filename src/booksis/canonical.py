@@ -16,13 +16,19 @@ solved in closed form by quadratures:
 
 with Theta(t) the cumulative integral of b_a from the base point ``a``.
 
-Every closed form in the package is a few lines of algebra on one
+Every quadrature closed form in the package is one formula on one
 integral kernel, :class:`BookIntegrals`: Theta = int b_a, Gamma =
 int b_a / (1 - z c1 e^Theta) and I = int e^Gamma b_b from ``a``, plus the
-deformed forms' validity window 1 - z c1 e^Theta > 0.  The solutions are
-initial-value solutions fitted at ``a``, so the kernel runs forwards only:
-a time before ``a`` raises ``ValueError``.  The classical
-forms are the case z c1 = 0, where Gamma is Theta.  The kernel holds the
+validity window 1 - z c1 e^Theta > 0.  The formula is the book solution
+for a deformation z (see :mod:`booksis.deformed`),
+
+    x(t) = -ln(1 - z c1 e^Theta(t))/z
+    y(t) = (c2 + I(t)) e^{-Gamma(t)}
+
+which at z c1 = 0, where Gamma is Theta, is the solution above; the SIS
+closed forms are its image under the chart of :mod:`booksis.sis`.  The
+solutions are initial-value solutions fitted at ``a``, so the kernel runs
+forwards only: a time before ``a`` raises ``ValueError``.  The kernel holds the
 three integrals as piecewise-Chebyshev interpolants on shared pieces (see
 :mod:`booksis.quadrature`): on each piece Theta's values at the nodes
 feed Gamma's integrand and Gamma's feed I's, so one sample of each
@@ -502,35 +508,67 @@ def _midpoint(lo: float, hi: float, integral: str) -> float:
     return 0.5 * (lo + hi)
 
 
+# branch point of the small-|w| series for -ln(1 - w)/w here and for
+# (e^w - 1)/w in :mod:`booksis.deformed`
+_SMALL_ARG = 1e-8
+
+
+def _shifted_log_ratio(w: float) -> float:
+    """-ln(1 - w)/w, continuous through w = 0; requires w < 1."""
+    if abs(w) < _SMALL_ARG:
+        return 1.0 + w * (0.5 + w / 3.0)
+    return -math.log1p(-w) / w
+
+
+def _book_closed_form(b_a: CoefficientFunction, b_b: CoefficientFunction, a: float,
+                      z: float, constants: IntegrationConstants,
+                      tol: float) -> Callable[[float], Jet]:
+    """The book closed form for deformation ``z`` (see the module
+    docstring) as an evaluator of t returning the :class:`Jet`
+    ((x, y), (x', y')).  Every call checks t against the validity
+    window, which never ends when z c1 <= 0; at z c1 = 0, x = c1 e^Theta
+    exactly and Gamma is Theta.
+    """
+    c1, c2 = constants.c1, constants.c2
+    k = BookIntegrals(b_a, b_b, a, tol, z * c1)
+
+    def evaluate(t: float) -> Jet:
+        if t >= k.window_end(t):
+            raise ValidityWindowError(t, k.t_max)
+        growth = exp_checked(k.theta(t), "book solution", t)
+        w = z * c1 * growth
+        if w >= 1.0:
+            raise ValidityWindowError(t, t)
+        x = c1 * growth * _shifted_log_ratio(w)
+        g = exp_checked(k.gamma(t), "book solution", t)
+        if g == 0.0:
+            raise ExpOverflowError(f"book solution: exp(-Gamma) overflowed at t={t!r}")
+        i_t = c2 + k.forced(t)
+        state = finite_state(CanonicalState, x, i_t / g, t)
+        # x = -ln(L)/z with L = 1 - w: x' = c1 e^Theta b_a / L;
+        # (e^Gamma)' = e^Gamma b_a / L, I' = e^Gamma b_b
+        log_arg = 1.0 - w
+        b_a_t = k.b_a(t)
+        d_growth = growth * b_a_t
+        d_g = g * b_a_t / log_arg
+        d_forced = g * k.b_b(t)
+        return Jet(state, (c1 * d_growth / log_arg, (d_forced - i_t * d_g / g) / g))
+
+    return evaluate
+
+
 def solution_evaluator(
     sys: BookSystem,
     constants: IntegrationConstants,
     tol: float = DEFAULT_TOLERANCE,
 ) -> Callable[[float], Jet]:
     """Closed-form solution as a reusable evaluator of t returning the
-    :class:`Jet` (state, (x', y')).
+    :class:`Jet` (state, (x', y')): the book closed form at z = 0.
 
     The kernel's Chebyshev pieces are shared across calls, so evaluating
     a whole time grid costs one sweep.
     """
-    c1, c2 = constants.c1, constants.c2
-    k = BookIntegrals(sys.b_a, sys.b_b, sys.a, tol)
-
-    def evaluate(t: float) -> Jet:
-        th = k.theta(t)
-        growth = exp_checked(th, "book solution", t)
-        if growth == 0.0:
-            raise ExpOverflowError(
-                f"exp(-Theta(t)) overflowed at t={t!r} (Theta={th!r})"
-            )
-        i_t = c2 + k.forced(t)
-        state = finite_state(CanonicalState, c1 * growth, i_t / growth, t)
-        # Gamma is Theta here: (e^Theta)' = e^Theta b_a, I' = e^Theta b_b
-        d_growth = growth * k.b_a(t)
-        d_forced = growth * k.b_b(t)
-        return Jet(state, (c1 * d_growth, (d_forced - i_t * d_growth / growth) / growth))
-
-    return evaluate
+    return _book_closed_form(sys.b_a, sys.b_b, sys.a, 0.0, constants, tol)
 
 
 def exact_solution(

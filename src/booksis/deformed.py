@@ -24,9 +24,9 @@ times is tracked as a :class:`ValidityWindow` and every evaluation is
 guarded: leaving the window raises rather than producing complex or
 infinite values.
 
-The SIS image of all of this under the canonical transformation of
-:mod:`booksis.sis` is provided as an independent code path and
-cross-checked against the chart composition in the test suite.
+The closed form is :mod:`booksis.canonical`'s one book closed form, of
+which the classical solution is the case z = 0, and the deformed SIS
+solution is its image under the chart of :mod:`booksis.sis`.
 """
 
 from __future__ import annotations
@@ -36,23 +36,25 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .canonical import (
+    _SMALL_ARG,
     BookIntegrals,
     BookSystem,
     CanonicalState,
     IntegrationConstants,
     Jet,
+    _book_closed_form,
     default_fd_step,
     exp_checked,
-    finite_state,
     poisson_bracket,
     vf_commutator,
 )
-from .errors import ExpOverflowError, SingularLocusError, ValidityWindowError
+from .errors import ExpOverflowError, SingularLocusError
 from .quadrature import DEFAULT_TOLERANCE
 from .sis import (
     SINGULAR_LOCUS_TOLERANCE,
     EpidemicState,
     SisSystem,
+    _chart_image,
     sis_rhs,
 )
 
@@ -80,9 +82,6 @@ __all__ = [
     "deformed_commutator_defect",
 ]
 
-# kernel branch point: below this the series expansion is used
-_SMALL_ARG = 1e-8
-
 
 def _phi(w: float) -> float:
     """(e^w - 1)/w, continuous through w = 0."""
@@ -92,13 +91,6 @@ def _phi(w: float) -> float:
         return math.expm1(w) / w
     except OverflowError as exc:
         raise ExpOverflowError(f"expm1({w!r}) overflowed") from exc
-
-
-def _shifted_log_ratio(w: float) -> float:
-    """-ln(1 - w)/w, continuous through w = 0; requires w < 1."""
-    if abs(w) < _SMALL_ARG:
-        return 1.0 + w * (0.5 + w / 3.0)
-    return -math.log1p(-w) / w
 
 
 def expm1_over(z: float, x: float) -> float:
@@ -235,37 +227,12 @@ def deformed_solution_evaluator(
     (see :class:`~booksis.canonical.BookIntegrals` for the tolerance
     split).  Every call verifies the requested time against the validity
     window, extending the root scan lazily; a time before the base point
-    raises ``ValueError``.  At z c1 = 0 the jets equal
-    the classical :func:`~booksis.canonical.solution_evaluator`'s bit for
-    bit.
+    raises ``ValueError``.  It is the book closed form that
+    :func:`~booksis.canonical.solution_evaluator` evaluates at z = 0, so
+    at z = 0 the jets are the classical ones bit for bit.
     """
-    z = sys.z
-    c1, c2 = constants.c1, constants.c2
-    k = BookIntegrals(sys.base.b_a, sys.base.b_b, sys.base.a, tol, z * c1)
-
-    def evaluate(t: float) -> Jet:
-        if t >= k.window_end(t):
-            raise ValidityWindowError(t, k.t_max)
-        growth = exp_checked(k.theta(t), "deformed solution", t)
-        w = z * c1 * growth
-        if w >= 1.0:
-            raise ValidityWindowError(t, t)
-        x = c1 * growth * _shifted_log_ratio(w)
-        g = exp_checked(k.gamma(t), "deformed solution", t)
-        if g == 0.0:
-            raise ExpOverflowError(f"deformed solution: exp(-Gamma) overflowed at t={t!r}")
-        i_t = c2 + k.forced(t)
-        state = finite_state(CanonicalState, x, i_t / g, t)
-        # x = -ln(L)/z with L = 1 - w: x' = c1 e^Theta b_a / L;
-        # (e^Gamma)' = e^Gamma b_a / L, I' = e^Gamma b_b
-        log_arg = 1.0 - w
-        b_a = k.b_a(t)
-        d_growth = growth * b_a
-        d_g = g * b_a / log_arg
-        d_forced = g * k.b_b(t)
-        return Jet(state, (c1 * d_growth / log_arg, (d_forced - i_t * d_g / g) / g))
-
-    return evaluate
+    return _book_closed_form(sys.base.b_a, sys.base.b_b, sys.base.a, sys.z,
+                             constants, tol)
 
 
 def deformed_exact_solution(
@@ -337,62 +304,23 @@ def deformed_sis_solution_evaluator(
     tol: float = DEFAULT_TOLERANCE,
 ) -> Callable[[float], Jet]:
     """Closed-form deformed SIS solution as an evaluator of t returning
-    the :class:`~booksis.canonical.Jet` (state, (q', p')).
+    the :class:`~booksis.canonical.Jet` (state, (q', p')): the chart image
+    of :func:`deformed_solution_evaluator`'s jets, whose states are
+    :func:`~booksis.sis.from_canonical`'s bit for bit.
 
     With L(t) = ln(1 - z c1 e^{Theta(t)}), Gamma as in the canonical
     deformed solution (with rho0 as the dilation coefficient) and
-    I(t) = c2 + int_a^t e^{Gamma(u)} b(u) du:
+    I(t) = c2 + int_a^t e^{Gamma(u)} b(u) du, that image is
 
         q(t) = e^{-Gamma(t)} I(t)
                / (e^{-2 Gamma(t)} I(t)^2 - z^2 / L(t)^2)
         p(t) = z / L(t) - (L(t)/z) e^{-2 Gamma(t)} I(t)^2
 
-    This is an independent code path from composing the canonical
-    deformed solution with the chart map; the two agree wherever both
-    are defined.  As in :func:`deformed_solution_evaluator`, every call
-    checks the validity window, and a time before the base point raises
+    As in :func:`deformed_solution_evaluator`, every call checks the
+    validity window, and a time before the base point raises
     ``ValueError``.
     """
-    z = sys.z
-    c1, c2 = constants.c1, constants.c2
-    if c1 == 0.0:
-        raise ValueError("c1 must be nonzero")
-    k = BookIntegrals(sys.base.rho0, sys.base.b, sys.base.a, tol, z * c1)
-
-    def evaluate(t: float) -> Jet:
-        if t >= k.window_end(t):
-            raise ValidityWindowError(t, k.t_max)
-        growth = exp_checked(k.theta(t), "deformed SIS solution", t)
-        w = z * c1 * growth
-        if w >= 1.0:
-            raise ValidityWindowError(t, t)
-        # x = -L/z stably; L = ln(1 - w)
-        x = c1 * growth * _shifted_log_ratio(w)
-        # x^2 is a chart denominator below; it vanishes when x underflows too
-        if x * x == 0.0:
-            raise SingularLocusError(f"x(t) = {x!r} gives x^2 = 0 at t={t!r}")
-        decay = exp_checked(-k.gamma(t), "deformed SIS solution", t)
-        i_t = c2 + k.forced(t)
-        y = decay * i_t
-        locus = x * x * y * y - 1.0
-        if abs(locus) < SINGULAR_LOCUS_TOLERANCE:
-            raise SingularLocusError(f"solution hit the singular locus at t={t!r}")
-        den = y * y - 1.0 / (x * x)
-        state = finite_state(EpidemicState, y / den, x * y * y - 1.0 / x, t)
-        # x' = c1 e^Theta rho0 / (1 - w); (e^-Gamma)' = -e^-Gamma rho0 / (1 - w);
-        # I' = e^Gamma b
-        log_arg = 1.0 - w
-        rho0 = k.b_a(t)
-        d_x = c1 * growth * rho0 / log_arg
-        d_decay = -decay * rho0 / log_arg
-        d_i = exp_checked(k.gamma(t), "deformed SIS solution", t) * k.b_b(t)
-        d_y = d_decay * i_t + decay * d_i
-        d_x_over_x2 = d_x / x / x  # -(1/x)'
-        d_den = 2.0 * y * d_y + 2.0 * d_x_over_x2 / x
-        return Jet(state, ((d_y - y * d_den / den) / den,
-                           d_x * y * y + 2.0 * x * y * d_y + d_x_over_x2))
-
-    return evaluate
+    return _chart_image(sys.base.rho0, sys.base.b, sys.base.a, sys.z, constants, tol)
 
 
 def deformed_sis_exact_solution(

@@ -18,7 +18,10 @@ canonical transformation
     y = q p^2 / (q^2 p^2 - 1)  p = (x^2 y^2 - 1)/x
 
 preserves dx ^ dy = dq ^ dp and conjugates the two flows, so the exact
-solution transfers to closed form here as well.  The transformation is a
+solution transfers to closed form here as well: the SIS closed forms, the
+classical one here and the deformed one in :mod:`booksis.deformed`, are
+the book closed form of :mod:`booksis.canonical` mapped through the
+inverse chart, state and rate together.  The transformation is a
 local diffeomorphism away from the singular locus q^2 p^2 = 1
 (equivalently x^2 y^2 = 1); all maps raise a typed error near it rather
 than silently crossing charts.
@@ -31,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .canonical import (
-    BookIntegrals,
     CanonicalState,
     IntegrationConstants,
     Jet,
+    _book_closed_form,
     exp_checked,
     finite_state,
 )
@@ -177,51 +181,56 @@ def sis_hamiltonian(sys: SisSystem, t: float, s: EpidemicState) -> float:
 
 # --- exact solutions ---------------------------------------------------------------
 
+def _chart_image(rho0: CoefficientFunction, b: CoefficientFunction, a: float,
+                 z: float, constants: IntegrationConstants,
+                 tol: float) -> Callable[[float], Jet]:
+    """The book closed form for deformation ``z``, with dilation rho0 and
+    translation b, mapped to the (q, p) chart: an evaluator of t returning
+    the :class:`~booksis.canonical.Jet` ((q, p), (q', p')).  The state is
+    :func:`from_canonical`'s, q = x^2 y / d and p = d / x with
+    d = x^2 y^2 - 1, and the rate is their chain rule.  x^2 = 0 and the
+    singular locus raise :class:`SingularLocusError`; c1 = 0, where x
+    vanishes identically, raises ``ValueError``.
+    """
+    if constants.c1 == 0.0:
+        raise ValueError("c1 must be nonzero (x(t) would vanish identically)")
+    book = _book_closed_form(rho0, b, a, z, constants, tol)
+
+    def evaluate(t: float) -> Jet:
+        xy, (d_x, d_y) = book(t)
+        x, y = xy.x, xy.y
+        x2 = x * x
+        if x2 == 0.0:
+            raise SingularLocusError(f"x(t) = {x!r} gives x^2 = 0 at t={t!r}")
+        d = x2 * y * y - 1.0
+        if abs(d) < SINGULAR_LOCUS_TOLERANCE:
+            raise SingularLocusError(f"solution hit the singular locus at t={t!r}")
+        q, p = x2 * y / d, d / x
+        state = finite_state(EpidemicState, q, p, t)
+        d_d = 2.0 * x * y * (d_x * y + x * d_y)
+        return Jet(state, ((2.0 * x * d_x * y + x2 * d_y - q * d_d) / d,
+                           (d_d - p * d_x) / x))
+
+    return evaluate
+
+
 def sis_solution_evaluator(
     sys: SisSystem,
     constants: IntegrationConstants,
     tol: float = DEFAULT_TOLERANCE,
-):
+) -> Callable[[float], Jet]:
     """Closed-form solution of the time-dependent system as an evaluator
     of t returning the :class:`~booksis.canonical.Jet` (state, (q', p')),
-    with a shared integral kernel.
+    with a shared integral kernel: the chart image of the book closed
+    form at z = 0.
 
     With Theta the cumulative integral of rho0 and
-    I(t) = c2 + int_a^t exp(Theta(u)) b(u) du:
+    I(t) = c2 + int_a^t exp(Theta(u)) b(u) du, that image is
 
         q(t) = I(t) exp(Theta(t)) / (I(t)^2 - c1^-2)
         p(t) = (c1 I(t)^2 - 1/c1) exp(-Theta(t))
     """
-    c1, c2 = constants.c1, constants.c2
-    if c1 == 0.0:
-        raise ValueError("c1 must be nonzero (x(t) would vanish identically)")
-    k = BookIntegrals(sys.rho0, sys.b, sys.a, tol)
-
-    def evaluate(t: float) -> Jet:
-        i_t = c2 + k.forced(t)
-        g = exp_checked(k.theta(t), "SIS solution", t)
-        if g == 0.0:
-            raise ExpOverflowError(f"exp(-Theta) overflowed at t={t!r}")
-        # q^2 p^2 - 1 along the solution equals c1^2 I^2 - 1
-        locus = c1 * i_t
-        if abs(locus * locus - 1.0) < SINGULAR_LOCUS_TOLERANCE:
-            raise SingularLocusError(
-                f"solution hit the singular locus at t={t!r}",
-            )
-        num = i_t * g
-        den = i_t * i_t - 1.0 / (c1 * c1)
-        p_num = c1 * i_t * i_t - 1.0 / c1
-        state = finite_state(EpidemicState, num / den, p_num / g, t)
-        # Gamma is Theta here: (e^Theta)' = e^Theta rho0, I' = e^Theta b
-        d_g = g * k.b_a(t)
-        d_i = g * k.b_b(t)
-        d_num = d_i * g + i_t * d_g
-        d_den = 2.0 * i_t * d_i
-        d_p_num = 2.0 * c1 * i_t * d_i
-        return Jet(state, ((d_num - num * d_den / den) / den,
-                           (d_p_num - p_num * d_g / g) / g))
-
-    return evaluate
+    return _chart_image(sys.rho0, sys.b, sys.a, 0.0, constants, tol)
 
 
 def sis_exact_solution(

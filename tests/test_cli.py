@@ -321,6 +321,30 @@ class TestMainEntryPoint:
         path.write_text(json.dumps(deformed_book_doc(t_end=t_end, n=2)))
         assert main(["run", str(path), "--output", str(tmp_path / "out")]) == EXIT_PASS
 
+    @pytest.mark.parametrize("rho0,t_end", [("0", 0.5), ("-712", 1.0)],
+                             ids=["singular-locus", "subnormal-growth"])
+    @pytest.mark.parametrize("model,z", [("sis", None), ("deformed-sis", 0.0),
+                                         ("deformed-sis", 0.5)],
+                             ids=["sis", "deformed-sis-0", "deformed-sis"])
+    def test_run_chart_route_failure_is_domain_exit(self, tmp_path, capsys,
+                                                     model, z, rho0, t_end):
+        # (q, p) = (-2/3, -3/4) is (x, y) = (1, 0.5): with rho0 = 0 the
+        # solution meets the singular locus at t = 0.5, with rho0 = -712
+        # e^Theta(1) is subnormal
+        doc = {
+            "model": model,
+            "coefficients": {"rho0": rho0, "b": "1"},
+            "initial": {"chart": "qp", "values": [-2.0 / 3.0, -0.75]},
+            "grid": {"t_start": 0.0, "t_end": t_end, "n_samples": 3},
+        }
+        if z is not None:
+            doc["z"] = z
+        path = tmp_path / "chart.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", str(path), "--output", str(tmp_path / "out")]) == EXIT_DOMAIN
+        report = json.loads((tmp_path / "out" / "chart.report.json").read_text())
+        assert report["domain_exit"]["first_failing_t"] == t_end
+
     def test_run_missing_file(self, tmp_path, capsys):
         code = main(["run", str(tmp_path / "nope.json")])
         assert code == EXIT_INPUT

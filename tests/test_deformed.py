@@ -36,7 +36,7 @@ from booksis.deformed import (
     perturbed_rhs_first_order,
     validity_window,
 )
-from booksis.errors import SingularLocusError, ValidityWindowError
+from booksis.errors import BooksisError, SingularLocusError, ValidityWindowError
 from booksis.invariants import (
     check_bracket_deformed,
     check_commutator_deformed,
@@ -243,11 +243,17 @@ class TestIntegralKernel:
 
     def test_zero_z_matches_classical_bit_for_bit(self):
         base = self.seasonal()
+        sis_base = SisSystem(base.b_a, base.b_b, base.a)
         c = IntegrationConstants(0.4, 0.8)
-        classical = solution_evaluator(base, c)
-        deformed = deformed_solution_evaluator(DeformedBookSystem(base, 0.0), c)
-        for t in np.linspace(0.0, 3.0, 61):
-            assert deformed(float(t)) == classical(float(t))
+        pairs = [
+            (solution_evaluator(base, c),
+             deformed_solution_evaluator(DeformedBookSystem(base, 0.0), c)),
+            (sis_solution_evaluator(sis_base, c),
+             deformed_sis_solution_evaluator(DeformedSisSystem(sis_base, 0.0), c)),
+        ]
+        for classical, deformed in pairs:
+            for t in np.linspace(0.0, 3.0, 61):
+                assert deformed(float(t)) == classical(float(t))
 
     def test_zero_z_costs_no_more_than_classical(self):
         def counted_system():
@@ -658,10 +664,35 @@ class TestDeformedSisExactSolution:
         sis_route = deformed_sis_solution_evaluator(sysd, c, tol=1e-11)
         book_route = deformed_solution_evaluator(book_sys, c, tol=1e-11)
         for t in (0.25, 0.75, 1.25, 1.75):
-            via_sis = sis_route(t).state
-            via_chart = from_canonical(book_route(t).state)
-            assert abs(via_sis.q - via_chart.q) <= 1e-8
-            assert abs(via_sis.p - via_chart.p) <= 1e-8
+            assert sis_route(t).state == from_canonical(book_route(t).state)
+
+
+class TestChartRouteErrors:
+    """The SIS closed forms, the book closed form's chart image, fail
+    with typed errors at z = 0 and z != 0."""
+
+    @staticmethod
+    def evaluator(kind, rho0):
+        # rho0 = 0 and b = 1 keep x(t) = x0 = 1 and y(t) = 0.5 + t, so the
+        # solution meets the singular locus x^2 y^2 = 1 at t = 0.5
+        base = SisSystem(CF.constant(rho0), CF.constant(1.0))
+        if kind == "sis":
+            return sis_solution_evaluator(base, IntegrationConstants(1.0, 0.5))
+        z = {"deformed-sis-0": 0.0, "deformed-sis": 0.5}[kind]
+        book_sys = DeformedBookSystem(BookSystem(base.rho0, base.b, base.a), z)
+        c = deformed_fit_constants(book_sys, 0.0, CanonicalState(1.0, 0.5))
+        return deformed_sis_solution_evaluator(DeformedSisSystem(base, z), c)
+
+    @pytest.mark.parametrize("kind", ["sis", "deformed-sis-0", "deformed-sis"])
+    def test_singular_locus(self, kind):
+        with pytest.raises(SingularLocusError):
+            self.evaluator(kind, 0.0)(0.5)
+
+    @pytest.mark.parametrize("kind", ["sis", "deformed-sis-0", "deformed-sis"])
+    def test_subnormal_growth(self, kind):
+        # e^Theta(1) = e^-712 is subnormal: x^2 underflows and y overflows
+        with pytest.raises(BooksisError):
+            self.evaluator(kind, -712.0)(1.0)
 
 
 class TestPerturbedRhs:
