@@ -540,7 +540,8 @@ def _book_closed_form(b_a: CoefficientFunction, b_b: CoefficientFunction, a: flo
         if w >= 1.0:
             raise ValidityWindowError(t, t)
         x = c1 * growth * _shifted_log_ratio(w)
-        g = exp_checked(k.gamma(t), "book solution", t)
+        # Gamma is Theta when z c1 == 0: no second read of the kernel
+        g = growth if k.z_c1 == 0.0 else exp_checked(k.gamma(t), "book solution", t)
         if g == 0.0:
             raise ExpOverflowError(f"book solution: exp(-Gamma) overflowed at t={t!r}")
         i_t = c2 + k.forced(t)

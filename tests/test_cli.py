@@ -335,7 +335,7 @@ class TestMainEntryPoint:
             "model": model,
             "coefficients": {"rho0": rho0, "b": "1"},
             "initial": {"chart": "qp", "values": [-2.0 / 3.0, -0.75]},
-            "grid": {"t_start": 0.0, "t_end": t_end, "n_samples": 3},
+            "grid": {"t_start": 0.0, "t_end": t_end, "n_samples": 2},
         }
         if z is not None:
             doc["z"] = z
