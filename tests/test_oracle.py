@@ -1,12 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from booksis import oracle as oracle_module
 from booksis.canonical import BookSystem, CanonicalState, rhs
 from booksis.deformed import DeformedBookSystem, deformed_rhs
-from booksis.errors import StepLimitError, StepSizeUnderflowError
+from booksis.errors import BooksisError, StepLimitError, StepSizeUnderflowError
 from booksis.oracle import IntegratorConfig, OdeProblem, integrate_ode
+from booksis.sis import EpidemicState, SisSystem, sis_rhs
 from booksis.timefn import CoefficientFunction as CF
 
 
@@ -220,3 +224,235 @@ class TestSharedSampler:
         assert sol.states[1].tobytes() == problem.state0.tobytes()
         assert sol.stats["steps"] > 0
         assert list(sol.stats) == self.STATS_KEYS[method]
+
+
+def _oscillator():
+    # ten periods of y'' = -y
+    t_end = 20.0 * math.pi
+    problem = OdeProblem(rhs=lambda t, y: (y[1], -y[0]), t0=0.0,
+                         state0=np.array([1.0, 0.0]), t_end=t_end)
+    configs = {"adaptive": IntegratorConfig(max_step=0.02),
+               "fixed": IntegratorConfig(method="fixed", step=0.02)}
+    times = [t_end * k / 8 for k in range(9)] + [t_end]
+    return problem, configs, times
+
+
+def _seasonal_sis():
+    sys_ = SisSystem(CF.from_text("1 + 0.5*sin(t)"), CF.constant(1.0), 0.0)
+    problem = OdeProblem(
+        rhs=lambda t, v: sis_rhs(sys_, t, EpidemicState(v[0], v[1])),
+        t0=0.0, state0=np.array([2.0 / 3.0, 3.0]), t_end=5.0,
+    )
+    configs = {"adaptive": IntegratorConfig(max_step=0.02),
+               "fixed": IntegratorConfig(method="fixed", step=0.01)}
+    return problem, configs, [0.0, 0.013, 0.5, 1.7, 2.5, 3.333, 4.99, 5.0]
+
+
+def _tight_rtol():
+    # a fast relaxation onto cos(t); the tight tolerance makes the
+    # controller reject steps
+    problem = OdeProblem(rhs=lambda t, y: (-50.0 * (y[0] - math.cos(t)),),
+                         t0=0.0, state0=np.array([2.0]), t_end=2.0)
+    configs = {"adaptive": IntegratorConfig(rtol=1e-12, atol=1e-14),
+               "fixed": IntegratorConfig(method="fixed", step=0.01)}
+    return problem, configs, [0.0, 0.01, 0.05, 0.3, 1.0, 1.234, 2.0]
+
+
+def _quadratic_blowup():
+    # y' = y^2, y(0) = 1 blows up at t = 1
+    problem = OdeProblem(rhs=lambda t, y: (y[0] * y[0],), t0=0.0,
+                         state0=np.array([1.0]), t_end=2.0)
+    configs = {"adaptive": IntegratorConfig(),
+               "fixed": IntegratorConfig(method="fixed", step=0.01)}
+    return problem, configs, [0.5, 2.0]
+
+
+def _nan_trap():
+    # every rhs value is finite, but on the first attempted step (h = 10)
+    # the stages at t = 3 and t = 8 add +inf and -inf into y_new, which
+    # becomes NaN while the error estimate stays finite
+    def g(t, y):
+        if t == 3.0:
+            return (1e308,)
+        if t == 8.0:
+            return (-1e308,)
+        return (1e167 * (1.0 + 0.5 * math.sin(t)),)
+
+    problem = OdeProblem(rhs=g, t0=0.0, state0=np.array([2e170]), t_end=10.0)
+    configs = {"adaptive": IntegratorConfig(rtol=1e-3),
+               "fixed": IntegratorConfig(method="fixed", step=0.5)}
+    return problem, configs, [0.0, 1.0, 2.5, 5.0, 7.7, 10.0]
+
+
+def _pin(case, method):
+    """The bits of one run: every sampled state and the stats, or the
+    error type, its last_time and its message."""
+    problem, configs, times = case()
+    # numpy warns on overflow where Python floats do not; the pinned
+    # values are the same either way
+    with np.errstate(all="ignore"):
+        try:
+            sol = integrate_ode(problem, configs[method], times)
+        except BooksisError as exc:
+            return {"error": type(exc).__name__,
+                    "last_time": float(exc.last_time).hex(),
+                    "message": str(exc)}
+    return {"states": [[float(v).hex() for v in row] for row in sol.states],
+            "stats": dict(sol.stats)}
+
+
+class TestBitPin:
+    """Every output bit of both steppers, recorded from the numpy-array
+    implementation: a change to the oracle's arithmetic order or
+    precision shows here."""
+
+    CASES = {
+        "oscillator": _oscillator,
+        "seasonal_sis": _seasonal_sis,
+        "tight_rtol": _tight_rtol,
+        "quadratic_blowup": _quadratic_blowup,
+        "nan_trap": _nan_trap,
+    }
+
+    EXPECTED = {
+        ("oscillator", "adaptive"): {
+            "states": [
+                ["0x1.0000000000000p+0", "0x0.0p+0"],
+                ["0x1.560cb40000000p-42", "-0x1.fffffffefb676p-1"],
+                ["-0x1.ffffffff9e6c5p-1", "0x1.206bad8000000p-41"],
+                ["0x1.3f552d0000000p-40", "0x1.ffffffffceac4p-1"],
+                ["0x1.ffffffff4a778p-1", "-0x1.0761440000000p-39"],
+                ["-0x1.9497600000000p-40", "-0x1.fffffffe5c03bp-1"],
+                ["-0x1.fffffffd5ccddp-1", "0x1.61c4600000000p-41"],
+                ["-0x1.2468700000000p-41", "0x1.fffffffc802f2p-1"],
+                ["0x1.ffffffff858e7p-1", "0x1.3dd1c80000000p-39"],
+                ["0x1.ffffffff858e7p-1", "0x1.3dd1c80000000p-39"],
+            ],
+            "stats": {"steps": 3147, "rejected": 0, "rhs_evals": 18883},
+        },
+        ("oscillator", "fixed"): {
+            "states": [
+                ["0x1.0000000000000p+0", "0x0.0p+0"],
+                ["0x1.67a14d5d40000p-27", "-0x1.fffffffc7d55dp-1"],
+                ["-0x1.fffffff96d4cep-1", "-0x1.67939092e0000p-26"],
+                ["-0x1.0dab3d0c7c000p-25", "0x1.fffffff97e738p-1"],
+                ["0x1.fffffffa01dd1p-1", "0x1.67938f4700000p-25"],
+                ["0x1.c17be07740000p-25", "-0x1.fffffff67f32ap-1"],
+                ["-0x1.fffffff36f290p-1", "-0x1.0daead3cc0000p-24"],
+                ["-0x1.3a9f67be02000p-24", "0x1.fffffff3804efp-1"],
+                ["0x1.fffffff403b85p-1", "0x1.6793902000000p-24"],
+                ["0x1.fffffff403b85p-1", "0x1.6793902000000p-24"],
+            ],
+            "stats": {"steps": 3142, "rhs_evals": 12569},
+        },
+        ("seasonal_sis", "adaptive"): {
+            "states": [
+                ["0x1.5555555555555p-1", "0x1.8000000000000p+1"],
+                ["0x1.5616c12a4fe4bp-1", "0x1.81a89e1e8cc96p+1"],
+                ["0x1.881e0c06cb336p-1", "0x1.bd4045de4d8ddp+1"],
+                ["0x1.35976c173c18ap+0", "0x1.abc42586f5b4bp+2"],
+                ["0x1.54265cef2ec55p+0", "0x1.103ea30bf3a6fp+4"],
+                ["0x1.2a42c4006d608p+0", "0x1.bcf3c0e152cb6p+5"],
+                ["0x1.6e59ba2c0582ep-1", "0x1.9c969a78449b5p+8"],
+                ["0x1.6da305bcc19e2p-1", "0x1.a05bf756b899cp+8"],
+            ],
+            "stats": {"steps": 251, "rejected": 0, "rhs_evals": 1507},
+        },
+        ("seasonal_sis", "fixed"): {
+            "states": [
+                ["0x1.5555555555555p-1", "0x1.8000000000000p+1"],
+                ["0x1.5616c12b38774p-1", "0x1.81a89e212cf89p+1"],
+                ["0x1.881e0c06abb14p-1", "0x1.bd4045de21146p+1"],
+                ["0x1.35976c16fcf11p+0", "0x1.abc42586752cfp+2"],
+                ["0x1.54265ceec1a74p+0", "0x1.103ea30a5fec9p+4"],
+                ["0x1.2a42c3ffeeeadp+0", "0x1.bcf3c0dd7640bp+5"],
+                ["0x1.6e59ba2bc4c57p-1", "0x1.9c969a6c70e50p+8"],
+                ["0x1.6da305bcc273ap-1", "0x1.a05bf74cdd58ep+8"],
+            ],
+            "stats": {"steps": 500, "rhs_evals": 2001},
+        },
+        ("tight_rtol", "adaptive"): {
+            "states": [
+                ["0x1.0000000000000p+1"],
+                ["0x1.9b451bf0debc4p+0"],
+                ["0x1.14db14f1a1f4ap+0"],
+                ["0x1.ebf6374e02632p-1"],
+                ["0x1.1d232be519f14p-1"],
+                ["0x1.6595278984ccep-2"],
+                ["-0x1.975958b370ab7p-2"],
+            ],
+            "stats": {"steps": 1506, "rejected": 3, "rhs_evals": 9055},
+        },
+        ("tight_rtol", "fixed"): {
+            "states": [
+                ["0x1.0000000000000p+1"],
+                ["0x1.9b54d8d0cd1adp+0"],
+                ["0x1.14e5b9bb0c7d4p+0"],
+                ["0x1.ebf62cb408e4ap-1"],
+                ["0x1.1d23258d51fcbp-1"],
+                ["0x1.65951f9ef4138p-2"],
+                ["-0x1.975950368766ap-2"],
+            ],
+            "stats": {"steps": 200, "rhs_evals": 801},
+        },
+        ("quadratic_blowup", "adaptive"): {
+            "error": "StepSizeUnderflowError",
+            "last_time": "0x1.ffffffffdcc3cp-1",
+            "message": "step size 3.494457006865965e-15 underflowed below "
+                       "3.552713678800501e-15 (last good time 0.9999999999839768)",
+        },
+        ("quadratic_blowup", "fixed"): {
+            "error": "NonFiniteRhsError",
+            "last_time": "0x1.028f5c28f5c29p+0",
+            "message": "rhs returned non-finite values (last good time 1.01)",
+        },
+        ("nan_trap", "adaptive"): {
+            "states": [
+                ["0x1.a7f5245e5a2cfp+565"],
+                ["0x1.a8318e8c0a3eap+565"],
+                ["0x1.a8969d4850e13p+565"],
+                ["0x1.a9179030f540fp+565"],
+                ["0x1.a9b544f569311p+565"],
+                ["0x1.aa43be9d83313p+565"],
+            ],
+            "stats": {"steps": 2, "rejected": 1, "rhs_evals": 19},
+        },
+        ("nan_trap", "fixed"): {
+            "states": [
+                ["0x1.a7f5245e5a2cfp+565"],
+                ["0x1.a837e1cbe1979p+565"],
+                ["0x1.a8adae358f7edp+565"],
+                ["0x1.7bbef5d3a60d5p+1020"],
+                ["0x1.a647092ad75ebp+1020"],
+                ["0x1.5f542d3587c9bp+555"],
+            ],
+            "stats": {"steps": 20, "rhs_evals": 81},
+        },
+    }
+
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bits(self, name, method):
+        assert _pin(self.CASES[name], method) == self.EXPECTED[name, method]
+
+    def test_cases_reach_their_branches(self):
+        assert self.EXPECTED["tight_rtol", "adaptive"]["stats"]["rejected"] > 0
+        assert self.EXPECTED["quadratic_blowup", "adaptive"]["error"] == \
+            "StepSizeUnderflowError"
+        assert self.EXPECTED["nan_trap", "adaptive"]["stats"]["rejected"] > 0
+
+
+def test_oracle_imports_only_errors_from_the_package():
+    # the oracle checks the closed forms only while it shares no code
+    # with them
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            package += [a.name for a in node.names if a.name.split(".")[0] == "booksis"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                package.append("." * node.level + (node.module or ""))
+            elif node.module.split(".")[0] == "booksis":
+                package.append(node.module)
+    assert package == [".errors"]
