@@ -487,11 +487,10 @@ def run_scenario(
         # well inside the deviation tolerance on growing trajectories
         config = oracle.IntegratorConfig(method=method, max_step=0.02)
 
-        def vector_rhs(tv: float, v: np.ndarray) -> np.ndarray:
-            a0, a1 = float(v[0]), float(v[1])
-            if not (math.isfinite(a0) and math.isfinite(a1)):
+        def vector_rhs(tv: float, v: tuple[float, float]) -> tuple[float, float]:
+            if not (math.isfinite(v[0]) and math.isfinite(v[1])):
                 raise NonFiniteSampleError(f"non-finite trial state at t={tv!r}")
-            return np.asarray(adapter.rhs(tv, (a0, a1)))
+            return adapter.rhs(tv, v)
 
         # the scenario's own initial values, so that a closed form with
         # wrong integration constants shows as a deviation

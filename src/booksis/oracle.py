@@ -7,9 +7,13 @@ classical 4th-order scheme and an embedded adaptive 4(5) pair -- so a
 bug in one cannot silently confirm itself through the other.
 
 Both methods are generators of accepted steps, and :func:`integrate_ode`
-alone places the samples.  States are 1-D numpy arrays; sampling between
-accepted steps uses cubic Hermite interpolation on the endpoint
-derivatives (4th-order accurate, matching the integrator orders).
+alone places the samples.  Inside the steppers a state is a tuple of
+Python floats, and every stage sum is written out in one fixed order, so
+the output bits depend only on IEEE double arithmetic, not on numpy.
+numpy appears only at the boundary: ``OdeProblem.state0`` and the
+sampled ``OdeSolution`` are arrays.  Sampling between accepted steps
+uses cubic Hermite interpolation on the endpoint derivatives (4th-order
+accurate, matching the integrator orders).
 
 When the right-hand side blows up (singularity, validity-window edge)
 the adaptive method keeps rejecting and shrinking the step until the
@@ -34,7 +38,9 @@ from .errors import (
 
 __all__ = ["OdeProblem", "IntegratorConfig", "OdeSolution", "integrate_ode"]
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
+# rhs(t, y) receives y as a tuple of floats and returns a length-dim
+# sequence of reals
+Rhs = Callable[[float, tuple], Sequence[float]]
 
 # Dormand-Prince 5(4) tableau; the 5th-order row propagates, the
 # difference row estimates the local error.  First-same-as-last.
@@ -53,6 +59,17 @@ _DP_ERR = (
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
 
+
+def _nonzero(row):
+    return tuple((j, w) for j, w in enumerate(row) if w != 0.0)
+
+
+# the same rows as (stage, weight) pairs without the zero weights, which
+# are skipped rather than added as 0 * k
+_DP_A_TERMS = tuple(_nonzero(row) for row in _DP_A)
+_DP_B5_TERMS = _nonzero(_DP_B5)
+_DP_ERR_TERMS = _nonzero(_DP_ERR)
+
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _SAFETY = 0.9
@@ -65,7 +82,12 @@ _RECOVERABLE = (BooksisError, OverflowError, ZeroDivisionError, FloatingPointErr
 @dataclass(frozen=True)
 class OdeProblem:
     """Initial-value problem dy/dt = rhs(t, y), y(t0) = state0, on
-    [t0, t_end]."""
+    [t0, t_end].
+
+    ``state0`` is stored as a finite 1-D float array of length dim.
+    ``rhs`` receives the state as a tuple of dim Python floats and may
+    return any sequence of dim reals.
+    """
 
     rhs: Rhs
     t0: float
@@ -123,30 +145,56 @@ class OdeSolution:
     stats: dict = field(default_factory=dict)
 
 
-def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> np.ndarray:
+def _finite(v) -> bool:
+    return all(map(math.isfinite, v))
+
+
+def _rms(v) -> float:
+    """sqrt(mean(q*q)) with the squares summed in index order.  Up to 7
+    components that is the order of numpy's pairwise mean too; every
+    caller in the package has 1 or 2."""
+    total = 0.0
+    for q in v:
+        total += q * q
+    return math.sqrt(total / len(v))
+
+
+def _combine(y: tuple, h: float, terms, k) -> tuple:
+    """y + (h*w)*k[j] for the (j, w) pairs of ``terms``, added in that
+    order component by component."""
+    scaled = [(h * w, k[j]) for j, w in terms]
+    out = []
+    for d, acc in enumerate(y):
+        for c, kj in scaled:
+            acc += c * kj[d]
+        out.append(acc)
+    return tuple(out)
+
+
+def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> tuple:
     """Cubic Hermite interpolant matching values and derivatives at both
     endpoints."""
     h = t1 - t0
     if h == 0.0:
-        return y0.copy()
+        return y0
     s = (t - t0) / h
     s2 = s * s
     s3 = s2 * s
-    return (
-        (2 * s3 - 3 * s2 + 1) * y0
-        + (s3 - 2 * s2 + s) * h * f0
-        + (-2 * s3 + 3 * s2) * y1
-        + (s3 - s2) * h * f1
-    )
+    c0 = 2 * s3 - 3 * s2 + 1
+    c1 = (s3 - 2 * s2 + s) * h
+    c2 = -2 * s3 + 3 * s2
+    c3 = (s3 - s2) * h
+    return tuple([((c0 * a + c1 * b) + c2 * c) + c3 * d
+                  for a, b, c, d in zip(y0, f0, y1, f1)])
 
 
-def _initial_step(t0: float, y0: np.ndarray, f0: np.ndarray,
+def _initial_step(t0: float, y0: tuple, f0: tuple,
                   t_end: float, rtol: float, atol: float) -> float:
     """Cheap starting-step heuristic based on the initial derivative."""
     span = t_end - t0
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    scale = [atol + rtol * abs(v) for v in y0]
+    d0 = _rms([v / s for v, s in zip(y0, scale)])
+    d1 = _rms([v / s for v, s in zip(f0, scale)])
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6 * max(1.0, span)
     else:
@@ -181,13 +229,11 @@ def integrate_ode(
         stepper, stats = _integrate_adaptive, {"steps": 0, "rejected": 0, "rhs_evals": 0}
     dim = problem.state0.shape[0]
 
-    def eval_rhs(t: float, y: np.ndarray) -> np.ndarray:
+    def eval_rhs(t: float, y: tuple) -> tuple:
         stats["rhs_evals"] += 1
-        f = np.asarray(problem.rhs(t, y), dtype=float).reshape(-1)
-        if f.shape[0] != dim:
-            raise ValueError(
-                f"rhs returned dimension {f.shape[0]}, expected {dim}"
-            )
+        f = tuple(map(float, problem.rhs(t, y)))
+        if len(f) != dim:
+            raise ValueError(f"rhs returned dimension {len(f)}, expected {dim}")
         return f
 
     # each accepted step carries its endpoint values and derivatives; a
@@ -210,7 +256,7 @@ def integrate_ode(
 
 def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
                      rhs: Rhs, stats: dict):
-    y = problem.state0.copy()
+    y = tuple(problem.state0.tolist())
     t = problem.t0
     span = problem.t_end - problem.t0
 
@@ -219,7 +265,7 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
             f = rhs(tv, yv)
         except _RECOVERABLE as exc:
             raise NonFiniteRhsError(f"rhs failed: {exc}", t) from exc
-        if not np.all(np.isfinite(f)):
+        if not _finite(f):
             raise NonFiniteRhsError("rhs returned non-finite values", t)
         return f
 
@@ -234,13 +280,16 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
             f"{n_steps} fixed steps exceed max_steps={config.max_steps}", t
         )
     h = span / n_steps
+    half = 0.5 * h
+    sixth = h / 6.0
     for k in range(n_steps):
         k1 = f
-        k2 = checked(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = checked(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = checked(t + h, y + h * k3)
-        y_next = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y_next)):
+        k2 = checked(t + 0.5 * h, tuple([a + half * b for a, b in zip(y, k1)]))
+        k3 = checked(t + 0.5 * h, tuple([a + half * b for a, b in zip(y, k2)]))
+        k4 = checked(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
+        y_next = tuple([a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                        for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+        if not _finite(y_next):
             raise NonFiniteRhsError("state became non-finite", t)
         t_next = problem.t0 + (k + 1) * h if k + 1 < n_steps else problem.t_end
         f_next = checked(t_next, y_next)
@@ -251,8 +300,8 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
 
 def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
                         rhs: Rhs, stats: dict):
-    y = problem.state0.copy()
-    dim = y.shape[0]
+    y = tuple(problem.state0.tolist())
+    dim = len(y)
     t = problem.t0
     t_end = problem.t_end
     n_accepted = 0
@@ -262,7 +311,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         f = rhs(t, y)
     except _RECOVERABLE as exc:
         raise NonFiniteRhsError(f"rhs failed at the initial state: {exc}", t) from exc
-    if not np.all(np.isfinite(f)):
+    if not _finite(f):
         raise NonFiniteRhsError("rhs non-finite at the initial state", t)
     yield t, t, y, y, f, f
     if t_end == t:
@@ -270,7 +319,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
 
     h = _initial_step(t, y, f, t_end, config.rtol, config.atol)
     h = max(h, 16.0 * math.ulp(max(abs(t), 1.0)))
-    k = [np.empty(dim) for _ in range(7)]
+    zero = (0.0,) * dim
 
     while t < t_end:
         if n_accepted + n_rejected >= config.max_steps:
@@ -286,37 +335,31 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
                 f"step size {h!r} underflowed below {h_min!r}", t
             )
 
-        failed = False
+        k = [f]
         try:
-            k[0] = f
             for i in range(1, 7):
-                yi = y.copy()
-                for j, aij in enumerate(_DP_A[i]):
-                    if aij != 0.0:
-                        yi += (h * aij) * k[j]
-                k[i] = rhs(t + _DP_C[i] * h, yi)
-                if not np.all(np.isfinite(k[i])):
-                    failed = True
+                ki = rhs(t + _DP_C[i] * h, _combine(y, h, _DP_A_TERMS[i], k))
+                if not _finite(ki):
                     break
+                k.append(ki)
         except _RECOVERABLE:
-            failed = True
-        if failed:
+            pass
+        if len(k) < 7:
             n_rejected += 1
             h *= 0.5
             continue
 
-        y_new = y.copy()
-        for j, bj in enumerate(_DP_B5):
-            if bj != 0.0:
-                y_new += (h * bj) * k[j]
-        err_vec = np.zeros(dim)
-        for j, ej in enumerate(_DP_ERR):
-            if ej != 0.0:
-                err_vec += (h * ej) * k[j]
-        scale = config.atol + config.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        y_new = _combine(y, h, _DP_B5_TERMS, k)
+        err_vec = _combine(zero, h, _DP_ERR_TERMS, k)
+        # y is finite, y_new may be NaN (two finite stage terms can sum to
+        # inf - inf); the larger magnitude is then NaN and so is err, which
+        # the builtin max would hide
+        err = _rms([
+            e / (config.atol + config.rtol * (abs(a) if abs(a) >= abs(b) else abs(b)))
+            for e, a, b in zip(err_vec, y, y_new)
+        ])
 
-        if err > 1.0 or not np.all(np.isfinite(y_new)):
+        if err > 1.0 or not _finite(y_new):
             n_rejected += 1
             factor = _SAFETY * err ** -0.2 if math.isfinite(err) and err > 0 else 0.5
             h *= min(1.0, max(_MIN_FACTOR, factor))
