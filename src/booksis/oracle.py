@@ -284,8 +284,8 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
     sixth = h / 6.0
     for k in range(n_steps):
         k1 = f
-        k2 = checked(t + 0.5 * h, tuple([a + half * b for a, b in zip(y, k1)]))
-        k3 = checked(t + 0.5 * h, tuple([a + half * b for a, b in zip(y, k2)]))
+        k2 = checked(t + half, tuple([a + half * b for a, b in zip(y, k1)]))
+        k3 = checked(t + half, tuple([a + half * b for a, b in zip(y, k2)]))
         k4 = checked(t + h, tuple([a + h * b for a, b in zip(y, k3)]))
         y_next = tuple([a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
                         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
