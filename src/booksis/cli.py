@@ -485,7 +485,7 @@ def run_scenario(
     if evaluated_times:
         # cap the adaptive step so the dense-output (Hermite) error stays
         # well inside the deviation tolerance on growing trajectories
-        config = oracle.IntegratorConfig(method=method, max_step=0.02)
+        config = oracle.IntegratorConfig(method=method)
 
         def vector_rhs(tv: float, v: tuple[float, float]) -> tuple[float, float]:
             if not (math.isfinite(v[0]) and math.isfinite(v[1])):

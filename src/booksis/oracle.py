@@ -23,6 +23,7 @@ last good time -- never a silent non-finite state.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -58,6 +59,23 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_ERR = (
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40,
 )
+# the pair's continuous extension (Shampine, Math. Comp. 46, 1986; Hairer,
+# Norsett & Wanner, Solving ODEs I, II.6): row j holds stage j's weights
+# of s, s^2, s^3 and s^4 in y(t + s*h) = y + h * sum_j (row j . s powers) k[j]
+_DP_P = (
+    (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432),
+    (0.0, 0.0, 0.0, 0.0),
+    (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799),
+    (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072),
+    (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632),
+    (0.0, -282668133 / 205662961, 2019193451 / 616988883,
+     -1453857185 / 822651844),
+    (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+)
 
 
 def _nonzero(row):
@@ -69,6 +87,8 @@ def _nonzero(row):
 _DP_A_TERMS = tuple(_nonzero(row) for row in _DP_A)
 _DP_B5_TERMS = _nonzero(_DP_B5)
 _DP_ERR_TERMS = _nonzero(_DP_ERR)
+# one (stage, weight) row per power of s
+_DP_P_TERMS = tuple(_nonzero(column) for column in zip(*_DP_P))
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -188,6 +208,30 @@ def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> tuple:
                   for a, b, c, d in zip(y0, f0, y1, f1)])
 
 
+def _dense_coefficients(h: float, k) -> list:
+    """Per component d, the coefficients (c0, c1, c2, c3) of the
+    continuous extension over a step of size h with stages ``k``:
+    c_m = h * sum_j P[j][m] * k[j][d], summed over the nonzero P[j][m] in
+    stage order."""
+    out = []
+    for d in range(len(k[0])):
+        cs = []
+        for (j0, w0), *rest in _DP_P_TERMS:
+            acc = w0 * k[j0][d]
+            for j, w in rest:
+                acc += w * k[j][d]
+            cs.append(h * acc)
+        out.append(cs)
+    return out
+
+
+def _dense(s: float, y0, coefficients) -> tuple:
+    """The continuous extension at s = (t - t_old) / h, by Horner:
+    y0 + s*(c0 + s*(c1 + s*(c2 + s*c3)))."""
+    return tuple([a + s * (c0 + s * (c1 + s * (c2 + s * c3)))
+                  for a, (c0, c1, c2, c3) in zip(y0, coefficients)])
+
+
 def _initial_step(t0: float, y0: tuple, f0: tuple,
                   t_end: float, rtol: float, atol: float) -> float:
     """Cheap starting-step heuristic based on the initial derivative."""
@@ -237,22 +281,40 @@ def integrate_ode(
         return f
 
     # each accepted step carries its endpoint values and derivatives; a
-    # sample is placed on the first step that reaches it, up to round-off
-    # past its end, except that the zero-length step at t0 takes only the
-    # samples at or before t0
+    # sample before t_end is placed on the first step that reaches it, up
+    # to round-off past its end, except that the zero-length step at t0
+    # takes only the samples at or before t0.  A sample at the step's end
+    # is its y_new; inside an adaptive step the pair's continuous
+    # extension, fitted once per step that has samples, gives it, and
+    # inside a fixed step the cubic Hermite interpolant
+    inner = bisect.bisect_left(ts, problem.t_end)
     out = np.empty((len(ts), dim))
     cursor = 0
-    for t, t_new, y, y_new, f, f_new in stepper(problem, config, eval_rhs, stats):
+    for t, t_new, y, y_new, f, f_new, k in stepper(problem, config, eval_rhs, stats):
         reach = t_new + 1e-14 * max(1.0, abs(t_new)) if t_new > t else t_new
-        while cursor < len(ts) and ts[cursor] <= reach:
-            out[cursor] = _hermite(ts[cursor], t, t_new, y, y_new, f, f_new)
+        if cursor == inner or ts[cursor] > reach:
+            continue
+        h = t_new - t
+        coefficients = _dense_coefficients(h, k) if k is not None else None
+        while cursor < inner and ts[cursor] <= reach:
+            tc = ts[cursor]
+            if tc == t_new or h == 0.0:
+                out[cursor] = y_new
+            elif coefficients is None:
+                out[cursor] = _hermite(tc, t, t_new, y, y_new, f, f_new)
+            else:
+                out[cursor] = _dense((tc - t) / h, y, coefficients)
             cursor += 1
-    out[cursor:] = y_new  # numerical slack at the right endpoint
+    # the samples at t_end and in the round-off slack past it are the
+    # integrator's own final state
+    out[cursor:] = y_new
     return OdeSolution(np.asarray(ts), out, stats)
 
 
-# A stepper yields every accepted step as (t, t_new, y, y_new, f, f_new),
+# A stepper yields every accepted step as (t, t_new, y, y_new, f, f_new, k),
 # first a zero-length one at t0, and records its step counts in ``stats``.
+# k is the adaptive step's seven stages, and None for a fixed step and for
+# the zero-length one.
 
 def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
                      rhs: Rhs, stats: dict):
@@ -270,7 +332,7 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
         return f
 
     f = checked(t, y)
-    yield t, t, y, y, f, f
+    yield t, t, y, y, f, f, None
     if span == 0.0:
         return
 
@@ -293,7 +355,7 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
             raise NonFiniteRhsError("state became non-finite", t)
         t_next = problem.t0 + (k + 1) * h if k + 1 < n_steps else problem.t_end
         f_next = checked(t_next, y_next)
-        yield t, t_next, y, y_next, f, f_next
+        yield t, t_next, y, y_next, f, f_next, None
         t, y, f = t_next, y_next, f_next
     stats["steps"] = n_steps
 
@@ -313,7 +375,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         raise NonFiniteRhsError(f"rhs failed at the initial state: {exc}", t) from exc
     if not _finite(f):
         raise NonFiniteRhsError("rhs non-finite at the initial state", t)
-    yield t, t, y, y, f, f
+    yield t, t, y, y, f, f, None
     if t_end == t:
         return
 
@@ -368,7 +430,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         # accepted; k[6] is f(t+h, y_new) by the first-same-as-last property
         t_new = t + h
         f_new = k[6]
-        yield t, t_new, y, y_new, f, f_new
+        yield t, t_new, y, y_new, f, f_new, k
         t, y, f = t_new, y_new, f_new
         n_accepted += 1
         if err == 0.0:

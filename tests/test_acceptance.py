@@ -90,6 +90,7 @@ def test_criterion_1_classical_canonical_vs_both_integrators():
         )
         for config in (
             IntegratorConfig(method="adaptive", max_step=0.02),
+            IntegratorConfig(method="adaptive"),
             IntegratorConfig(method="fixed", step=0.0025),
         ):
             sol = integrate_ode(problem, config, times)
@@ -116,8 +117,10 @@ def test_criterion_2_classical_sis_vs_rk45():
         state0=np.array([start.q, start.p]),
         t_end=times[-1],
     )
-    sol = integrate_ode(problem, IntegratorConfig(max_step=0.02), times)
-    worst = float(np.max(np.abs(sol.states - exact)))
+    worst = 0.0
+    for config in (IntegratorConfig(max_step=0.02), IntegratorConfig()):
+        sol = integrate_ode(problem, config, times)
+        worst = max(worst, float(np.max(np.abs(sol.states - exact))))
     ok = worst <= 1e-6
     report(2, ok, f"max deviation {worst:.3e} (tol 1e-6)")
     assert ok
@@ -168,8 +171,9 @@ def test_criterion_4_deformed_exact_vs_rk45():
             state0=np.array([x0, constants.c2]),
             t_end=times[-1],
         )
-        sol = integrate_ode(problem, IntegratorConfig(max_step=0.02), times)
-        worst_book = max(worst_book, float(np.max(np.abs(sol.states - exact))))
+        for config in (IntegratorConfig(max_step=0.02), IntegratorConfig()):
+            sol = integrate_ode(problem, config, times)
+            worst_book = max(worst_book, float(np.max(np.abs(sol.states - exact))))
 
         # epidemic picture
         sis_base = SisSystem(CF.from_text("1 + 0.5*sin(t)"), CF.constant(1.0), 0.0)
@@ -192,8 +196,9 @@ def test_criterion_4_deformed_exact_vs_rk45():
             state0=np.array([start.q, start.p]),
             t_end=times[-1],
         )
-        sol = integrate_ode(problem, IntegratorConfig(max_step=0.02), times)
-        worst_sis = max(worst_sis, float(np.max(np.abs(sol.states - exact))))
+        for config in (IntegratorConfig(max_step=0.02), IntegratorConfig()):
+            sol = integrate_ode(problem, config, times)
+            worst_sis = max(worst_sis, float(np.max(np.abs(sol.states - exact))))
     ok = worst_book <= 1e-6 and worst_sis <= 1e-6
     report(4, ok, f"max deviation canonical {worst_book:.3e}, "
                   f"epidemic {worst_sis:.3e} (tol 1e-6)")

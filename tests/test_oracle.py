@@ -184,6 +184,41 @@ class TestHermiteSampling:
         assert sol.states[0][0] == sol.states[1][0]
 
 
+class TestDenseOutput:
+    @staticmethod
+    def _oscillator(t_end):
+        return OdeProblem(rhs=lambda t, y: (y[1], -y[0]), t0=0.0,
+                          state0=np.array([1.0, 0.0]), t_end=t_end)
+
+    def test_adaptive_samples_are_fourth_order(self):
+        # one period of y'' = -y at a loose tolerance, so the step cap sets
+        # the steps; halving it shrinks the sampling error by about 2^5 for
+        # the pair's continuous extension, 2^4 for cubic Hermite
+        t_end = 2.0 * math.pi
+        problem = self._oscillator(t_end)
+        times = [t_end * i / 997 for i in range(998)]
+        exact = np.array([[math.cos(t), -math.sin(t)] for t in times])
+
+        def error(max_step):
+            config = IntegratorConfig(rtol=1e-3, atol=1e-6, max_step=max_step)
+            sol = integrate_ode(problem, config, times)
+            return float(np.max(np.abs(sol.states - exact)))
+
+        coarse, fine = error(0.1), error(0.05)
+        assert coarse / fine >= 24.0
+        assert fine <= 2e-9
+
+    @pytest.mark.parametrize("method", ["adaptive", "fixed"])
+    def test_samples_never_change_the_steps(self, method):
+        t_end = 3.0
+        problem = self._oscillator(t_end)
+        config = IntegratorConfig(method=method, step=0.01)
+        alone = integrate_ode(problem, config, [t_end])
+        dense = integrate_ode(problem, config, [t_end * i / 500 for i in range(500)] + [t_end])
+        assert dense.stats == alone.stats
+        assert dense.states[-1].tobytes() == alone.states[0].tobytes()
+
+
 class TestSharedSampler:
     """One driver places the samples of both steppers."""
 
