@@ -132,15 +132,20 @@ def to_canonical(s: EpidemicState) -> CanonicalState:
 
 
 def from_canonical(s: CanonicalState) -> EpidemicState:
-    """(x, y) -> (q, p) = (x^2 y/(x^2 y^2 - 1), (x^2 y^2 - 1)/x)."""
-    d = s.x * s.x * s.y * s.y - 1.0
+    """(x, y) -> (q, p) = (x^2 y/(x^2 y^2 - 1), (x^2 y^2 - 1)/x).
+
+    Formed through u = x y (d = u^2 - 1, q = x u / d, p = d / x), so
+    that the image is finite wherever (q, p) is, however large or small
+    x alone is."""
+    u = s.x * s.y
+    d = u * u - 1.0
     if s.x == 0.0 or abs(d) < SINGULAR_LOCUS_TOLERANCE:
         raise SingularLocusError(
             f"(x, y)=({s.x!r}, {s.y!r}) lies on the singular locus x^2 y^2 = 1 "
             "or has x = 0",
             state=s,
         )
-    return EpidemicState(s.x * s.x * s.y / d, d / s.x)
+    return EpidemicState(s.x * u / d, d / s.x)
 
 
 # --- dynamics -------------------------------------------------------------------
@@ -187,8 +192,8 @@ def _chart_image(rho0: CoefficientFunction, b: CoefficientFunction, a: float,
     """The book closed form for deformation ``z``, with dilation rho0 and
     translation b, mapped to the (q, p) chart: an evaluator of t returning
     the :class:`~booksis.canonical.Jet` ((q, p), (q', p')).  The state is
-    :func:`from_canonical`'s, q = x^2 y / d and p = d / x with
-    d = x^2 y^2 - 1, and the rate is their chain rule.  x^2 = 0 and the
+    :func:`from_canonical`'s, q = x u / d and p = d / x with u = x y and
+    d = u^2 - 1, and the rate is their chain rule.  x = 0 and the
     singular locus raise :class:`SingularLocusError`; c1 = 0, where x
     vanishes identically, raises ``ValueError``.
     """
@@ -199,16 +204,17 @@ def _chart_image(rho0: CoefficientFunction, b: CoefficientFunction, a: float,
     def evaluate(t: float) -> Jet:
         xy, (d_x, d_y) = book(t)
         x, y = xy.x, xy.y
-        x2 = x * x
-        if x2 == 0.0:
-            raise SingularLocusError(f"x(t) = {x!r} gives x^2 = 0 at t={t!r}")
-        d = x2 * y * y - 1.0
+        if x == 0.0:
+            raise SingularLocusError(f"x(t) = {x!r} at t={t!r}")
+        u = x * y
+        d = u * u - 1.0
         if abs(d) < SINGULAR_LOCUS_TOLERANCE:
             raise SingularLocusError(f"solution hit the singular locus at t={t!r}")
-        q, p = x2 * y / d, d / x
+        q, p = x * u / d, d / x
         state = finite_state(EpidemicState, q, p, t)
-        d_d = 2.0 * x * y * (d_x * y + x * d_y)
-        return Jet(state, ((2.0 * x * d_x * y + x2 * d_y - q * d_d) / d,
+        d_u = d_x * y + x * d_y
+        d_d = 2.0 * u * d_u
+        return Jet(state, ((d_x * u + x * d_u - q * d_d) / d,
                            (d_d - p * d_x) / x))
 
     return evaluate

@@ -73,6 +73,14 @@ class TestChart:
         with pytest.raises(SingularLocusError):
             from_canonical(CanonicalState(1.0, 1.0))
 
+    @pytest.mark.parametrize("x, y", [(1e200, 2e-200), (1e-200, 2e200)])
+    def test_inverse_where_x_squared_leaves_the_float_range(self, x, y):
+        # x y = 2, so d = 3 and (q, p) = (2x/3, 3/x) although x^2 overflows
+        # or underflows
+        e = from_canonical(CanonicalState(x, y))
+        assert e.q == pytest.approx(2.0 * x / 3.0, rel=1e-15)
+        assert e.p == pytest.approx(3.0 / x, rel=1e-15)
+
     def test_round_trip_randomized(self):
         result = check_chart_round_trip(seed=11, count=1000)
         assert result.passed, result
@@ -140,6 +148,19 @@ class TestSisExactSolution:
             s = evaluate(t).state
             assert abs(s.q - num[0]) <= 1e-6
             assert abs(s.p - num[1]) <= 1e-6
+
+    @pytest.mark.parametrize("rho0", [400.0, -400.0])
+    def test_chart_range(self, rho0):
+        # b = 0 keeps x y = c1 c2 = 0.5 while x = e^(rho0 t), whose square
+        # overflows (rho0 = 400) or underflows (rho0 = -400) at t = 1; the
+        # image is q = -2x/3, p = -0.75/x with rates (rho0 q, -rho0 p)
+        sysc = SisSystem(CF.constant(rho0), CF.constant(0.0))
+        jet = sis_solution_evaluator(sysc, IntegrationConstants(1.0, 0.5))(1.0)
+        q, p = jet.state.q, jet.state.p
+        assert q == pytest.approx(-2.0 / 3.0 * math.exp(rho0), rel=1e-9)
+        assert p == pytest.approx(-0.75 * math.exp(-rho0), rel=1e-9)
+        assert jet.rate[0] == pytest.approx(rho0 * q, rel=1e-9)
+        assert jet.rate[1] == pytest.approx(-rho0 * p, rel=1e-9)
 
     def test_requires_nonzero_c1(self):
         sysc = SisSystem(CF.constant(1.0), CF.constant(1.0))
