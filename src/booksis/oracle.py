@@ -11,9 +11,13 @@ alone places the samples.  Inside the steppers a state is a tuple of
 Python floats, and every stage sum is written out in one fixed order, so
 the output bits depend only on IEEE double arithmetic, not on numpy.
 numpy appears only at the boundary: ``OdeProblem.state0`` and the
-sampled ``OdeSolution`` are arrays.  Sampling between accepted steps
-uses cubic Hermite interpolation on the endpoint derivatives (4th-order
-accurate, matching the integrator orders).
+sampled ``OdeSolution`` are arrays.  Between the ends of an adaptive
+step the samples come from the pair's own 4th-order continuous
+extension, a degree-4 polynomial in the step fraction built from the
+step's seven stages, so the error control alone sets the steps; between
+the ends of a fixed step they come from cubic Hermite interpolation on
+the endpoint derivatives, which is 4th-order accurate like the scheme.
+A sample at a step's end, t_end included, is the integrator's own state.
 
 When the right-hand side blows up (singularity, validity-window edge)
 the adaptive method keeps rejecting and shrinking the step until the
@@ -130,11 +134,9 @@ class IntegratorConfig:
     rtol*|y| + atol) or "fixed" (classical 4th-order with step size
     ``step``).
 
-    ``max_step`` caps the adaptive step size.  The between-step sampler is
-    a cubic Hermite interpolant with O(h^4) error, so callers that need
-    dense samples tighter than the step controller would naturally give
-    (for example strongly growing solutions sampled to 1e-6 absolute)
-    should cap the step.
+    ``max_step`` is an optional user cap on the adaptive step size.  The
+    samples between steps need none: they come from the pair's continuous
+    extension, whose error is of the order of the step's own.
     """
 
     method: str = "adaptive"
@@ -193,10 +195,8 @@ def _combine(y: tuple, h: float, terms, k) -> tuple:
 
 def _hermite(t: float, t0: float, t1: float, y0, y1, f0, f1) -> tuple:
     """Cubic Hermite interpolant matching values and derivatives at both
-    endpoints."""
+    endpoints: the fixed method's sampler, O(h^4) like its scheme."""
     h = t1 - t0
-    if h == 0.0:
-        return y0
     s = (t - t0) / h
     s2 = s * s
     s3 = s2 * s
