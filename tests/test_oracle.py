@@ -20,6 +20,12 @@ def exponential_problem(t_end=1.0):
     )
 
 
+def oscillator_problem(t_end):
+    # y'' = -y, y(0) = 1, y'(0) = 0 as a first-order system
+    return OdeProblem(rhs=lambda t, y: (y[1], -y[0]), t0=0.0,
+                      state0=np.array([1.0, 0.0]), t_end=t_end)
+
+
 class TestBasics:
     def test_constant_solution_is_exact(self):
         problem = OdeProblem(
@@ -185,17 +191,12 @@ class TestHermiteSampling:
 
 
 class TestDenseOutput:
-    @staticmethod
-    def _oscillator(t_end):
-        return OdeProblem(rhs=lambda t, y: (y[1], -y[0]), t0=0.0,
-                          state0=np.array([1.0, 0.0]), t_end=t_end)
-
     def test_adaptive_samples_are_fourth_order(self):
         # one period of y'' = -y at a loose tolerance, so the step cap sets
         # the steps; halving it shrinks the sampling error by about 2^5 for
         # the pair's continuous extension, 2^4 for cubic Hermite
         t_end = 2.0 * math.pi
-        problem = self._oscillator(t_end)
+        problem = oscillator_problem(t_end)
         times = [t_end * i / 997 for i in range(998)]
         exact = np.array([[math.cos(t), -math.sin(t)] for t in times])
 
@@ -211,7 +212,7 @@ class TestDenseOutput:
     @pytest.mark.parametrize("method", ["adaptive", "fixed"])
     def test_samples_never_change_the_steps(self, method):
         t_end = 3.0
-        problem = self._oscillator(t_end)
+        problem = oscillator_problem(t_end)
         config = IntegratorConfig(method=method, step=0.01)
         alone = integrate_ode(problem, config, [t_end])
         dense = integrate_ode(problem, config, [t_end * i / 500 for i in range(500)] + [t_end])
@@ -264,8 +265,7 @@ class TestSharedSampler:
 def _oscillator():
     # ten periods of y'' = -y
     t_end = 20.0 * math.pi
-    problem = OdeProblem(rhs=lambda t, y: (y[1], -y[0]), t0=0.0,
-                         state0=np.array([1.0, 0.0]), t_end=t_end)
+    problem = oscillator_problem(t_end)
     configs = {"adaptive": IntegratorConfig(max_step=0.02),
                "fixed": IntegratorConfig(method="fixed", step=0.02)}
     times = [t_end * k / 8 for k in range(9)] + [t_end]
