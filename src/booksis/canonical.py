@@ -203,11 +203,11 @@ def exp_checked(arg: float, context: str, t: float | None = None) -> float:
         raise ExpOverflowError(f"{context}: exp({arg!r}) overflowed{where}") from exc
 
 
-# sign-scan step and bisection resolution of the validity-window search
+# fallback step of the window search and its bisection resolution
 _SCAN_STEP = 0.02
 _BISECTION_TOL = 1e-10
-# scan steps per chunk: the scan builds Theta one chunk (0.5 time units)
-# ahead, and never past the time it was asked for
+# steps per chunk: the window search builds Theta one chunk (0.5 time
+# units) ahead, and never past the time it was asked for
 _SCAN_CHUNK = 25
 # pieces one extension (or one completion's splits) may build before it
 # gives up with QuadratureConvergenceError
@@ -246,15 +246,17 @@ def _exp_nodes(values: np.ndarray, nodes: np.ndarray, context: str) -> np.ndarra
 
 
 class _Piece:
-    """One Chebyshev piece: its nodes, b_a there and, per integral, the
+    """One Chebyshev piece: its nodes, b_a and 1 - z c1 e^Theta there (None
+    if unused) and, per integral, the
     :func:`~booksis.quadrature.chebyshev_fit` of its antiderivative (None
     until built)."""
 
-    __slots__ = ("nodes", "b_a", "fits")
+    __slots__ = ("nodes", "b_a", "log_argument", "fits")
 
     def __init__(self, nodes: np.ndarray, b_a: np.ndarray, theta_fit):
         self.nodes = nodes
         self.b_a = b_a
+        self.log_argument = None
         self.fits = [theta_fit, None, None]
 
 
@@ -280,13 +282,13 @@ class BookIntegrals:
     over Theta, Gamma and I.  The pieces depend only on the times asked
     for, not on which integral is asked first.
 
-    The window [a, t_max) is found by a sign scan of 1 - z c1 e^Theta in
-    steps of 0.02 from ``a`` and bisection of the first sign change to
-    1e-10, extended lazily by :meth:`window_end`.  The scan builds Theta
-    alone, one chunk of 25 steps ahead, and reads it from the pieces.
-    Gamma and I are built on a piece when a time in it is asked for; a
-    node there outside the window raises :class:`ValidityWindowError`.
-    For z c1 <= 0 the window never ends.  Not safe for unsynchronized
+    The window [a, t_max) ends where 1 - z c1 e^Theta first reaches 0.
+    Each Theta piece is tested at its nodes and its end as it is built, and
+    the first edge it shows is bisected to 1e-10.  :meth:`window_end` builds
+    Theta one chunk of 0.5 ahead, never past the time asked for (in 0.02
+    steps where a chunk cannot be built), until an edge is known; a value
+    asked for at or past t_max raises :class:`ValidityWindowError` naming
+    it.  For z c1 <= 0 the window never ends.  Not safe for unsynchronized
     shared use (pieces are added lazily).
 
     ``b_a`` and ``b_b`` are kept for the closed forms' jets: Theta' = b_a,
@@ -314,11 +316,8 @@ class BookIntegrals:
         self._pieces: list[_Piece] = []
         self._values = [[0.0], [0.0], [0.0]]
         self._done = 0
-        self.t_max = math.inf
-        self._scanned_to = a
         # Theta(a) == 0, so 1 - z c1 e^Theta(a) <= 0 exactly when z c1 >= 1
-        if z_c1 >= 1.0:
-            self.t_max = a  # already outside at the base point
+        self.t_max = a if z_c1 >= 1.0 else math.inf
 
     # -- values -------------------------------------------------------------
 
@@ -349,7 +348,8 @@ class BookIntegrals:
                 f"{self.a!r}, got {t!r}")
 
     def _value(self, t: float, which: int) -> float:
-        self._check_time(t)
+        if t >= self.window_end(t):
+            raise ValidityWindowError(t, self.t_max)
         if t > self._ends[self._done]:
             self._complete(t)
         return self._read(which, t)
@@ -390,13 +390,14 @@ class BookIntegrals:
             self._ends.append(hi)
             theta = self._values[_THETA]
             theta.append(theta[-1] + fit[2])
+            if self._gamma == _GAMMA and lo < self.t_max:
+                self._find_edge(lo, hi)
 
     def _complete(self, t: float) -> None:
         """Gamma and I on every piece up to ``t``.  A piece on which one of
         them does not converge is rebuilt as two halves, the second ending
-        at ``t`` if the piece reaches past it; one that reaches past ``t``
-        with a node outside the validity window is cut at ``t``.  The
-        pieces after it are dropped and rebuilt as needed."""
+        at ``t`` if the piece reaches past it; the one that holds the window
+        edge is cut at ``t``.  Later pieces are rebuilt as needed."""
         splits = 0
         while t > self._ends[self._done]:
             if self._done == len(self._pieces):
@@ -414,6 +415,8 @@ class BookIntegrals:
             del self._pieces[j:], self._ends[j + 1:], self._values[_THETA][j + 1:]
             self._extend(cut)
             self._extend(min(far, t))
+            if t >= self.t_max:
+                raise ValidityWindowError(t, self.t_max)
 
     def _fit_rest(self, j: int, t: float) -> float | None:
         """Fit Gamma and I on piece j, whose predecessors carry them.
@@ -422,23 +425,18 @@ class BookIntegrals:
         nodes = piece.nodes
         lo, hi = self._ends[j], self._ends[j + 1]
         half = 0.5 * (hi - lo)
-        # Gamma, which is Theta at z c1 == 0
-        exponent = self._values[_THETA][j] + piece.fits[_THETA][1]
         if self._gamma == _GAMMA:
+            if (piece.log_argument <= 0.0).any():
+                # the piece holds the window edge, which lies past t
+                return t
             with np.errstate(over="ignore"):
-                log_argument = 1.0 - self.z_c1 * _exp_nodes(exponent, nodes, "validity window")
-            outside = np.flatnonzero(log_argument <= 0.0)
-            if outside.size:
-                if hi > t:
-                    return t
-                raise ValidityWindowError(t, float(nodes[outside[0]]))
-            with np.errstate(over="ignore"):
-                integrand = _finite(piece.b_a / log_argument, nodes)
+                integrand = _finite(piece.b_a / piece.log_argument, nodes)
             fit = chebyshev_fit(integrand, half, self._tols[_GAMMA])
             if fit is None:
                 return _midpoint(lo, hi, "Gamma")
             piece.fits[_GAMMA] = fit
-            exponent = self._values[_GAMMA][j] + fit[1]
+        # Gamma, which is Theta at z c1 == 0
+        exponent = self._values[self._gamma][j] + piece.fits[self._gamma][1]
         with np.errstate(over="ignore"):
             integrand = (_exp_nodes(exponent, nodes, "forced integral")
                          * _samples(self.b_b, nodes))
@@ -456,35 +454,39 @@ class BookIntegrals:
     # -- validity window ----------------------------------------------------------
 
     def window_end(self, t: float) -> float:
-        """Extend the sign scan to ``t`` and return t_max, which stays
-        inf while no window edge lies in [a, t]; a non-finite ``t``, to
-        which the scan would never end, or one before ``a`` raises
-        ``ValueError``."""
+        """Build Theta to ``t`` one chunk at a time until a piece shows an
+        edge and return t_max, which stays inf while no edge lies in [a, t];
+        a non-finite ``t`` or one before ``a`` raises ``ValueError``."""
         self._check_time(t)
-        if self.z_c1 <= 0.0 or not math.isinf(self.t_max):
-            return self.t_max
-        while self._scanned_to < t:
-            points = []
-            step_to = self._scanned_to
-            while step_to < t and len(points) < _SCAN_CHUNK:
-                step_to = min(step_to + _SCAN_STEP, t)
-                points.append(step_to)
+        while self.z_c1 > 0.0 and math.isinf(self.t_max) and self._ends[-1] < t:
+            chunk_end = self._ends[-1]
+            for _ in range(_SCAN_CHUNK):
+                chunk_end = min(chunk_end + _SCAN_STEP, t)
             try:
-                self._extend(step_to)
+                self._extend(chunk_end)
             except BooksisError:
                 # Theta cannot be built over the whole chunk (a coefficient
                 # leaves its domain or has a pole in it, maybe past the
-                # edge): build it to each scan point in turn instead
-                pass
-            previous = self._scanned_to
-            for u in points:
-                if self.log_argument(u) <= 0.0:
-                    self.t_max = self._bisect(previous, u)
-                    self._scanned_to = u
-                    return self.t_max
-                previous = u
-            self._scanned_to = step_to
+                # edge): build it one scan step at a time instead
+                while math.isinf(self.t_max) and self._ends[-1] < chunk_end:
+                    self._extend(min(self._ends[-1] + _SCAN_STEP, t))
         return self.t_max
+
+    def _find_edge(self, lo: float, hi: float) -> None:
+        """Keep 1 - z c1 e^Theta at the newest piece's nodes, for Gamma.  For
+        z c1 > 0, lower t_max to the edge bisected from the point before the
+        first node, or hi, where that value is at or below 0."""
+        piece, theta = self._pieces[-1], self._values[_THETA]
+        with np.errstate(over="ignore"):
+            piece.log_argument = 1.0 - self.z_c1 * _exp_nodes(
+                theta[-2] + piece.fits[_THETA][1], piece.nodes, "validity window")
+        if self.z_c1 > 0.0:
+            at_end = 1.0 - self.z_c1 * exp_checked(theta[-1], "validity window", hi)
+            outside = np.flatnonzero(np.append(piece.log_argument, at_end) <= 0.0)
+            if outside.size:
+                points = [lo, *piece.nodes.tolist(), hi]
+                k = outside[0]
+                self.t_max = min(self.t_max, self._bisect(points[k], points[k + 1]))
 
     def _bisect(self, lo: float, hi: float) -> float:
         # log_argument(lo) > 0 >= log_argument(hi); first zero to _BISECTION_TOL
@@ -533,8 +535,6 @@ def _book_closed_form(b_a: CoefficientFunction, b_b: CoefficientFunction, a: flo
     k = BookIntegrals(b_a, b_b, a, tol, z * c1)
 
     def evaluate(t: float) -> Jet:
-        if t >= k.window_end(t):
-            raise ValidityWindowError(t, k.t_max)
         growth = exp_checked(k.theta(t), "book solution", t)
         w = z * c1 * growth
         if w >= 1.0:

@@ -38,6 +38,7 @@ from .errors import (
     ExpressionError,
     NonFiniteSampleError,
     ScenarioError,
+    ValidityWindowError,
 )
 from .sis import EpidemicState, MomentState, SisSystem
 from .timefn import CoefficientFunction
@@ -642,13 +643,13 @@ def compare_scenario(
     rows: list[dict] = []
     for z in z_values:
         adapter = build_adapter(replace(scenario, z=z))
-        t_max = adapter.validity_t_max(scenario.t_end + 1.0)
-        if t_max <= scenario.t_end:
+        try:
+            states = _sweep_exact(adapter, scenario, grid)
+        except ValidityWindowError as exc:
             raise BooksisError(
-                f"z={z!r}: validity window ends at {t_max!r}, inside the grid; "
+                f"z={z!r}: validity window ends at {exc.t_max!r}, inside the grid; "
                 "shrink the grid or the sweep"
-            )
-        states = _sweep_exact(adapter, scenario, grid)
+            ) from exc
         dev = max(
             max(abs(s[0] - c[0]), abs(s[1] - c[1]))
             for s, c in zip(states, classical_states)

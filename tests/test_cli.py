@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from booksis.cli import (
     parse_scenario,
     run_scenario,
 )
-from booksis.errors import ScenarioError
+from booksis.errors import BooksisError, ScenarioError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +36,11 @@ def write_scenario(tmp_path, name="scen.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def _last_number(text: str) -> float:
+    """The last decimal number in ``text``, such as an edge in a message."""
+    return float(re.findall(r"\d+\.\d+(?:e[-+]?\d+)?", text)[-1])
 
 
 def deformed_book_doc(z=0.01, t_end=3.0, n=31):
@@ -295,6 +301,18 @@ class TestCompare:
         path = write_scenario(tmp_path)
         with pytest.raises(ScenarioError):
             compare_scenario(path, [1e-2])
+
+    def test_window_edge_inside_the_grid_names_z_and_edge(self, tmp_path):
+        doc = deformed_book_doc(z=1.0, t_end=2.0)
+        doc["coefficients"] = {"bA": "1", "bB": "1"}
+        doc["initial"] = {"chart": "xy", "values": [math.log(2.0), 1.0]}
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(doc))
+        # the sweep itself stops at the edge, t_max = ln 2
+        with pytest.raises(BooksisError, match="inside the grid") as err:
+            compare_scenario(path, [1.0])
+        assert "z=1.0" in str(err.value)
+        assert _last_number(str(err.value)) == pytest.approx(math.log(2.0), abs=1e-9)
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "deformed.json"

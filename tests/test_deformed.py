@@ -453,8 +453,10 @@ class TestIntegralKernel:
         assert math.isfinite(state.y)
 
     def test_missed_narrow_excursion_raises_instead_of_integrating(self):
-        # the 0.02-step scan misses this pulse (t_max = inf), but the Gamma
-        # pieces resolve it, find nodes outside the window and raise
+        # a pulse 0.003 wide, narrower than a 0.02 sampling step: Theta's
+        # pieces resolve it, their node values show the edge, and the
+        # evaluator and the window both report it bisected, not a node
+        # (1.0000208092940722 by mpmath: Theta = 0.8 on the first lobe)
         pulse = CF.from_text(
             "300*exp(-((t-1)/0.003)^2) - 300*exp(-((t-1.006)/0.003)^2)")
         sysd = DeformedBookSystem(BookSystem(pulse, CF.constant(1.0)), 1.0)
@@ -463,7 +465,9 @@ class TestIntegralKernel:
         evaluate(0.5)
         with pytest.raises(ValidityWindowError) as err:
             evaluate(1.5)
-        assert 1.0 < err.value.t_max < 1.006
+        edge = 1.0000208092940722
+        assert err.value.t_max == pytest.approx(edge, abs=1e-9)
+        assert validity_window(sysd, c.c1, 3.0).t_max == pytest.approx(edge, abs=1e-9)
 
 
 class TestJets:
