@@ -522,6 +522,19 @@ class TestMainEntryPoint:
         assert "t_max=" in out
         assert f"{math.log(2.0)!r}"[:8] in out
 
+    def test_narrow_pulse_edge_is_bisected_in_window_and_run(self, tmp_path, capsys):
+        # the pulse is 0.003 wide; window and run's domain exit both name
+        # the edge, 1.000783344010159 by mpmath, not a Chebyshev node
+        path = ROOT / "scenarios" / "narrow_pulse.json"
+        edge = 1.000783344010159
+        assert main(["window", str(path), "--horizon", "4"]) == EXIT_PASS
+        assert _last_number(capsys.readouterr().out) == pytest.approx(edge, abs=1e-9)
+        _, metadata, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert metadata["validity_t_max"] == pytest.approx(edge, abs=1e-9)
+        reason = metadata["domain_exit"]["reason"]
+        assert _last_number(reason) == pytest.approx(edge, abs=1e-9)
+
     def test_window_verb_unbounded(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text(json.dumps(deformed_book_doc(z=-0.5)))
