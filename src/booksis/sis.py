@@ -120,15 +120,20 @@ class MomentState:
 # --- canonical transformation ------------------------------------------------
 
 def to_canonical(s: EpidemicState) -> CanonicalState:
-    """(q, p) -> (x, y) = ((q^2 p^2 - 1)/p, q p^2/(q^2 p^2 - 1))."""
-    d = s.q * s.q * s.p * s.p - 1.0
+    """(q, p) -> (x, y) = ((q^2 p^2 - 1)/p, q p^2/(q^2 p^2 - 1)).
+
+    Formed through v = q p (d = v^2 - 1, x = d / p, y = v p / d), so that
+    the image is finite wherever (x, y) is, however large or small p
+    alone is."""
+    v = s.q * s.p
+    d = v * v - 1.0
     if s.p == 0.0 or abs(d) < SINGULAR_LOCUS_TOLERANCE:
         raise SingularLocusError(
             f"(q, p)=({s.q!r}, {s.p!r}) lies on the singular locus q^2 p^2 = 1 "
             "or has p = 0",
             state=s,
         )
-    return CanonicalState(d / s.p, s.q * s.p * s.p / d)
+    return CanonicalState(d / s.p, v * s.p / d)
 
 
 def from_canonical(s: CanonicalState) -> EpidemicState:

@@ -81,6 +81,14 @@ class TestChart:
         assert e.q == pytest.approx(2.0 * x / 3.0, rel=1e-15)
         assert e.p == pytest.approx(3.0 / x, rel=1e-15)
 
+    @pytest.mark.parametrize("q, p", [(1e200, 2e-200), (1e-200, 2e200)])
+    def test_forward_where_p_squared_leaves_the_float_range(self, q, p):
+        # q p = 2, so d = 3 and (x, y) = (3/p, 4/(3q)) although p^2 overflows
+        # or underflows
+        c = to_canonical(EpidemicState(q, p))
+        assert c.x == pytest.approx(3.0 / p, rel=1e-15)
+        assert c.y == pytest.approx(2.0 * p / 3.0, rel=1e-15)
+
     def test_round_trip_randomized(self):
         result = check_chart_round_trip(seed=11, count=1000)
         assert result.passed, result
