@@ -135,7 +135,6 @@ def integrate(
     lo: float,
     hi: float,
     tol: float = DEFAULT_TOLERANCE,
-    max_panels: int = DEFAULT_PANEL_BUDGET,
 ) -> float:
     """Definite integral of ``f`` over [lo, hi] to absolute tolerance ``tol``.
 
@@ -171,9 +170,9 @@ def integrate(
     panels = n0
     while err_total > tol:
         neg_err, _, a, b, val = heapq.heappop(heap)
-        if panels >= max_panels:
+        if panels >= DEFAULT_PANEL_BUDGET:
             raise QuadratureConvergenceError(
-                f"no convergence within {max_panels} panels "
+                f"no convergence within {DEFAULT_PANEL_BUDGET} panels "
                 f"(error estimate {err_total:.3e} > tol {tol:.3e})",
                 (a, b),
             )

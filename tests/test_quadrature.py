@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from booksis import quadrature
 from booksis.errors import NonFiniteIntegrandError, QuadratureConvergenceError
 from booksis.quadrature import cumulative, integrate
 
@@ -81,9 +82,10 @@ class TestIntegrate:
             integrate(f, 0.0, 2.0, 1e-10)
         assert err.value.location > 1.0
 
-    def test_panel_budget(self):
+    def test_panel_budget(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "DEFAULT_PANEL_BUDGET", 4)
         with pytest.raises(QuadratureConvergenceError) as err:
-            integrate(lambda s: math.sin(50.0 * s), 0.0, 10.0, 1e-15, max_panels=4)
+            integrate(lambda s: math.sin(50.0 * s), 0.0, 10.0, 1e-15)
         lo, hi = err.value.worst_interval
         assert 0.0 <= lo < hi <= 10.0
 
