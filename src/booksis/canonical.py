@@ -467,7 +467,7 @@ class BookIntegrals:
             except BooksisError:
                 # Theta cannot be built over the whole chunk (a coefficient
                 # leaves its domain or has a pole in it, maybe past the
-                # edge): build it one scan step at a time instead
+                # edge): build it one 0.02 step at a time instead
                 while math.isinf(self.t_max) and self._ends[-1] < chunk_end:
                     self._extend(min(self._ends[-1] + _SCAN_STEP, t))
         return self.t_max

@@ -202,7 +202,7 @@ def validity_window(
     tol: float = DEFAULT_TOLERANCE,
 ) -> ValidityWindow:
     """First time in [a, horizon] where 1 - z c1 e^{Theta(t)} vanishes,
-    located by the kernel's sign scan plus bisection; t_max = inf when no
+    read off the kernel's Theta pieces and bisected; t_max = inf when no
     sign change occurs (in particular whenever z*c1 <= 0, where the
     argument never drops below 1).  ``horizon`` must be finite and exceed
     the base point."""
@@ -226,7 +226,7 @@ def deformed_solution_evaluator(
     :class:`~booksis.canonical.Jet` (state, (x', y')), with a shared kernel
     (see :class:`~booksis.canonical.BookIntegrals` for the tolerance
     split).  Every call verifies the requested time against the validity
-    window, extending the root scan lazily; a time before the base point
+    window, extending the kernel lazily; a time before the base point
     raises ``ValueError``.  It is the book closed form that
     :func:`~booksis.canonical.solution_evaluator` evaluates at z = 0, so
     at z = 0 the jets are the classical ones bit for bit.
