@@ -206,6 +206,7 @@ def exp_checked(arg: float, context: str, t: float | None = None) -> float:
 # fallback step of the window search and its bisection resolution
 _SCAN_STEP = 0.02
 _BISECTION_TOL = 1e-10
+_LOG_MAX = math.log(np.finfo(float).max)  # largest argument of a finite exp
 # steps per chunk: the window search builds Theta one chunk (0.5 time
 # units) ahead, and never past the time it was asked for
 _SCAN_CHUNK = 25
@@ -246,10 +247,9 @@ def _exp_nodes(values: np.ndarray, nodes: np.ndarray, context: str) -> np.ndarra
 
 
 class _Piece:
-    """One Chebyshev piece: its nodes, b_a and 1 - z c1 e^Theta there (None
-    if unused) and, per integral, the
-    :func:`~booksis.quadrature.chebyshev_fit` of its antiderivative (None
-    until built)."""
+    """One Chebyshev piece: its nodes, b_a and 1 - z c1 e^Theta there and,
+    per integral, the :func:`~booksis.quadrature.chebyshev_fit` of its
+    antiderivative (None until built, or unused)."""
 
     __slots__ = ("nodes", "b_a", "log_argument", "fits")
 
@@ -282,14 +282,13 @@ class BookIntegrals:
     over Theta, Gamma and I.  The pieces depend only on the times asked
     for, not on which integral is asked first.
 
-    The window [a, t_max) ends where 1 - z c1 e^Theta first reaches 0.
-    Each Theta piece is tested at its nodes and its end as it is built, and
-    the first edge it shows is bisected to 1e-10.  :meth:`window_end` builds
-    Theta one chunk of 0.5 ahead, never past the time asked for (in 0.02
-    steps where a chunk cannot be built), until an edge is known; a value
-    asked for at or past t_max raises :class:`ValidityWindowError` naming
-    it.  For z c1 <= 0 the window never ends.  Not safe for unsynchronized
-    shared use (pieces are added lazily).
+    The window [a, t_max) ends where 1 - z c1 e^Theta first reaches 0: each
+    Theta piece is tested at its nodes and its end as it is built, and the
+    first edge shown is bisected to 1e-10.  :meth:`window_end` builds Theta
+    one chunk of 0.5 ahead, never past the time asked for (in 0.02 steps
+    where a chunk cannot be built), until an edge is known; a value at or
+    past t_max raises :class:`ValidityWindowError` naming it.  For z c1 <= 0
+    the window never ends.  Not safe for unsynchronized shared use.
 
     ``b_a`` and ``b_b`` are kept for the closed forms' jets: Theta' = b_a,
     Gamma' = b_a / L and I' = e^Gamma b_b.
@@ -338,8 +337,11 @@ class BookIntegrals:
         Builds Theta alone, so it is defined past the window too."""
         self._check_time(u)
         self._extend(u)
-        theta = self._read(_THETA, u)
-        return 1.0 - self.z_c1 * exp_checked(theta, "validity window", u)
+        return self._log_argument(self._read(_THETA, u))
+
+    def _log_argument(self, theta: float) -> float:
+        # capped, e^Theta stays finite and keeps the sign for any normal z c1
+        return 1.0 - self.z_c1 * math.exp(min(theta, _LOG_MAX))
 
     def _check_time(self, t: float) -> None:
         if not (math.isfinite(t) and t >= self.a):
@@ -473,20 +475,16 @@ class BookIntegrals:
         return self.t_max
 
     def _find_edge(self, lo: float, hi: float) -> None:
-        """Keep 1 - z c1 e^Theta at the newest piece's nodes, for Gamma.  For
-        z c1 > 0, lower t_max to the edge bisected from the point before the
-        first node, or hi, where that value is at or below 0."""
+        """Keep 1 - z c1 e^Theta at the newest piece's nodes, for Gamma; lower
+        t_max to the edge bisected before the first node, or hi, where it is <= 0."""
         piece, theta = self._pieces[-1], self._values[_THETA]
-        with np.errstate(over="ignore"):
-            piece.log_argument = 1.0 - self.z_c1 * _exp_nodes(
-                theta[-2] + piece.fits[_THETA][1], piece.nodes, "validity window")
-        if self.z_c1 > 0.0:
-            at_end = 1.0 - self.z_c1 * exp_checked(theta[-1], "validity window", hi)
-            outside = np.flatnonzero(np.append(piece.log_argument, at_end) <= 0.0)
-            if outside.size:
-                points = [lo, *piece.nodes.tolist(), hi]
-                k = outside[0]
-                self.t_max = min(self.t_max, self._bisect(points[k], points[k + 1]))
+        piece.log_argument = np.array([self._log_argument(v) for v in
+                                       (theta[-2] + piece.fits[_THETA][1]).tolist()])
+        at_end = self._log_argument(theta[-1])
+        outside = np.flatnonzero(np.append(piece.log_argument, at_end) <= 0.0)
+        if outside.size:
+            points = [lo, *piece.nodes.tolist(), hi]
+            self.t_max = min(self.t_max, self._bisect(*points[outside[0]:outside[0] + 2]))
 
     def _bisect(self, lo: float, hi: float) -> float:
         # log_argument(lo) > 0 >= log_argument(hi); first zero to _BISECTION_TOL

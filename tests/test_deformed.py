@@ -437,6 +437,20 @@ class TestIntegralKernel:
                                  c1, 2.0)
         assert window.t_max == pytest.approx(1.05, abs=1e-9)
 
+    @pytest.mark.parametrize("b_a, c1, edge", [
+        (2000.0, 0.5, math.log(2.0) / 2000.0),
+        (200.0, math.exp(-705.0), 3.525),
+    ])
+    def test_window_edge_where_e_theta_overflows_in_its_piece(self, b_a, c1, edge):
+        # Theta = b_a t passes 709.78, where e^Theta overflows, inside the
+        # piece that holds the edge: those nodes lie outside the window
+        sysd = DeformedBookSystem(book(b_a, 1.0), 1.0)
+        c = IntegrationConstants(c1, 1.0)
+        assert validity_window(sysd, c.c1, 4.0).t_max == pytest.approx(edge, abs=1e-9)
+        with pytest.raises(ValidityWindowError) as err:
+            deformed_solution_evaluator(sysd, c)(1.0 + edge)
+        assert err.value.t_max == pytest.approx(edge, abs=1e-9)
+
     @pytest.mark.parametrize("distance", [1e-4, 1e-6])
     def test_evaluates_close_to_the_window_edge(self, distance):
         # near the edge the Gamma integrand b_a / L carries the rounding of
