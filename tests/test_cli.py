@@ -3,6 +3,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from booksis import sis
@@ -534,6 +535,35 @@ class TestMainEntryPoint:
         assert metadata["validity_t_max"] == pytest.approx(edge, abs=1e-9)
         reason = metadata["domain_exit"]["reason"]
         assert _last_number(reason) == pytest.approx(edge, abs=1e-9)
+
+    @pytest.mark.parametrize("name", ["window_exit", "narrow_pulse"])
+    def test_every_verb_names_one_edge(self, name, capsys):
+        # window, run's domain exit and compare's error each build their
+        # own kernel, on one piece grid: they bisect the same edge
+        path = ROOT / "scenarios" / f"{name}.json"
+        assert main(["window", str(path), "--horizon", "4"]) == EXIT_PASS
+        edge = _last_number(capsys.readouterr().out)
+        _, metadata, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert metadata["validity_t_max"] == edge
+        assert _last_number(metadata["domain_exit"]["reason"]) == edge
+        with pytest.raises(BooksisError, match="inside the grid") as err:
+            compare_scenario(path)
+        assert _last_number(str(err.value)) == edge
+
+    @pytest.mark.parametrize("name", ["deformed_book", "deformed_sis", "window_exit"])
+    def test_fresh_evaluator_gives_the_sweeps_bits(self, name):
+        # for z c1 > 0 the values depend only on t: a kernel asked at one
+        # grid time alone gives the jet the sweep gave there
+        scenario = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        adapter = build_adapter(scenario)
+        t_max = adapter.validity_t_max(scenario.t_end + 1.0)
+        grid = np.linspace(scenario.t_start, scenario.t_end, scenario.n_samples)
+        times = [float(t) for t in grid if t < t_max]
+        sweep = adapter.exact_evaluator(scenario.quadrature_tol)
+        jets = [sweep(t) for t in times]
+        for t, jet in zip(times, jets):
+            assert adapter.exact_evaluator(scenario.quadrature_tol)(t) == jet
 
     def test_window_verb_unbounded(self, tmp_path, capsys):
         path = tmp_path / "w.json"

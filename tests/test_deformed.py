@@ -1,12 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import booksis
 from booksis.canonical import (
     BookIntegrals,
     BookSystem,
@@ -36,7 +41,12 @@ from booksis.deformed import (
     perturbed_rhs_first_order,
     validity_window,
 )
-from booksis.errors import BooksisError, SingularLocusError, ValidityWindowError
+from booksis.errors import (
+    BooksisError,
+    EvaluationDomainError,
+    SingularLocusError,
+    ValidityWindowError,
+)
 from booksis.invariants import (
     check_bracket_deformed,
     check_commutator_deformed,
@@ -289,13 +299,13 @@ class TestIntegralKernel:
         with pytest.raises(ValidityWindowError) as err:
             deformed_solution_evaluator(sysd, c)(6.0)
         assert err.value.t_max == window.t_max
-        # after a sweep inside the window the edge agrees to the bisection tolerance
+        # and after a sweep inside the window: the pieces lie on one grid
         evaluate = deformed_solution_evaluator(sysd, c)
         for t in np.linspace(0.0, 0.9 * window.t_max, 11):
             evaluate(float(t))
         with pytest.raises(ValidityWindowError) as err:
             evaluate(6.0)
-        assert err.value.t_max == pytest.approx(window.t_max, abs=1e-9)
+        assert err.value.t_max == window.t_max
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0],
                              ids=["nan", "inf", "zero", "negative"])
@@ -334,7 +344,7 @@ class TestIntegralKernel:
 
         def kernel():
             k = BookIntegrals(b_a, CF.constant(1.0), 0.0, 1e-10, 0.5 * c.c1)
-            return [k.theta, k.gamma, k.forced, k.log_argument, k.window_end]
+            return [k.theta, k.gamma, k.forced, k.window_end]
 
         evaluators = {
             "book": lambda: [solution_evaluator(book_sys, c)],
@@ -404,11 +414,20 @@ class TestIntegralKernel:
                 theta = first.theta(t)
                 assert (second.theta(t), second.gamma(t), second.forced(t)) == \
                     (theta, gamma, forced)
+        # for z c1 > 0 the pieces lie on one grid, so the order of the
+        # times does not change them either
+        times = (0.3, 1.1, 1.7, 2.5)
+        first = BookIntegrals(b_a, b_b, 0.0, 1e-10, 0.1)
+        second = BookIntegrals(b_a, b_b, 0.0, 1e-10, 0.1)
+        ascending = [(first.theta(t), first.gamma(t), first.forced(t)) for t in times]
+        descending = [(second.theta(t), second.gamma(t), second.forced(t))
+                      for t in reversed(times)]
+        assert ascending == descending[::-1]
 
     def test_window_scan_stops_sampling_near_the_edge(self):
         # b_a = 0.5 + ln(3 - t) leaves its domain at t = 3; with the window
-        # edge at t = 1 the scan samples b_a at most one chunk (25 steps of
-        # 0.02) past the edge, far from t = 3
+        # edge at t = 1 the search samples b_a at most one 0.5 chunk past
+        # the edge, far from t = 3
         class Recording:
             def __init__(self, f):
                 self.f = f
@@ -429,13 +448,53 @@ class TestIntegralKernel:
 
     def test_window_scan_finds_an_edge_before_a_domain_end_in_its_chunk(self):
         # b_a = 1 - ln(1.1 - t) is undefined from t = 1.1, inside the chunk
-        # [1, 1.5] that holds the edge at t = 1.05: Theta is then built scan
-        # step by scan step, as far as the edge
+        # [1, 1.5] that holds the edge at t = 1.05: the chunk is halved
+        # until b_a can be sampled, as far as the edge
         b_a = CF.from_text("1 - ln(1.1 - t)")
         c1 = math.exp(-integrate(b_a, 0.0, 1.05, 1e-14))
         window = validity_window(DeformedBookSystem(BookSystem(b_a, CF.constant(1.0)), 1.0),
                                  c1, 2.0)
         assert window.t_max == pytest.approx(1.05, abs=1e-9)
+
+    def test_grid_chunk_reaching_past_a_source_domain_end(self):
+        # b_b = ln(1.8 - t) ends inside the chunk [1.5, 2]: the chunk is
+        # halved until b_b can be sampled, so t = 1.79 still evaluates.
+        # With w = z c1 = 0.04, e^Gamma = e^{t/2} (1 - w) / (1 - w e^{t/2})
+        sysd = DeformedBookSystem(BookSystem(CF.constant(0.5), CF.from_text("ln(1.8 - t)")),
+                                  0.1)
+        c = IntegrationConstants(0.4, 1.0)
+        w, t = 0.04, 1.79
+
+        def e_gamma(u):
+            return math.exp(0.5 * u) * (1.0 - w) / (1.0 - w * math.exp(0.5 * u))
+
+        evaluate = deformed_solution_evaluator(sysd, c)
+        state = evaluate(t).state
+        assert state.x == pytest.approx(-math.log(1.0 - w * math.exp(0.5 * t)) / 0.1,
+                                        rel=1e-12)
+        forced = integrate(lambda u: e_gamma(u) * math.log(1.8 - u), 0.0, t, 1e-13)
+        assert state.y == pytest.approx((c.c2 + forced) / e_gamma(t), rel=1e-9)
+        with pytest.raises(EvaluationDomainError):
+            evaluate(1.9)
+
+    @pytest.mark.parametrize("a, horizon", [(1e15, 2.0), (1e17, 64.0)])
+    def test_window_at_a_large_base_point(self, a, horizon):
+        # from about 1.8e14 on, a + k * 0.5 can round to the last piece end;
+        # the next end is then the next float.  A search that made no
+        # progress would never return, so it runs under a timeout
+        code = (
+            "from booksis.canonical import BookSystem\n"
+            "from booksis.deformed import DeformedBookSystem, validity_window\n"
+            "from booksis.timefn import CoefficientFunction as CF\n"
+            f"base = BookSystem(CF.constant(1.0), CF.constant(1.0), {a!r})\n"
+            f"print(repr(validity_window(DeformedBookSystem(base, 1.0), 0.5, "
+            f"{a + horizon!r}).t_max))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(booksis.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=env, check=True)
+        # within the float spacing there: 0.125 at 1e15, 16 at 1e17
+        assert abs(float(done.stdout) - (a + math.log(2.0))) <= math.ulp(a)
 
     @pytest.mark.parametrize("b_a, c1, edge", [
         (2000.0, 0.5, math.log(2.0) / 2000.0),
