@@ -393,9 +393,9 @@ class BookIntegrals:
 
     def _grid_end(self) -> float:
         """The first grid point above the last end lo, else the next float."""
-        lo = self._ends[-1]
-        k = (lo - self.a) // _CHUNK  # one low where lo - a rounded down
-        return next(end for end in (self.a + (k + 1.0) * _CHUNK, self.a + (k + 2.0) * _CHUNK,
+        lo, a = self._ends[-1], self.a
+        k = (lo - a) // _CHUNK  # one low where lo - a rounded down
+        return next(end for end in (a + (k + 1.0) * _CHUNK, a + (k + 2.0) * _CHUNK,
                                     math.nextafter(lo, math.inf)) if end > lo)
 
     def _complete(self, t: float) -> None:
@@ -473,8 +473,8 @@ class BookIntegrals:
         return self.t_max if self.t_max <= t else math.inf
 
     def _find_edge(self, lo: float, hi: float) -> None:
-        """Keep 1 - z c1 e^Theta at the newest piece's nodes, for Gamma; lower
-        t_max to the edge bisected before the first node, or hi, where it is <= 0."""
+        """Keep 1 - z c1 e^Theta at the newest piece's nodes, for Gamma.  Where a
+        node, or hi, shows it <= 0 more than 1e-10 before t_max, bisect the new t_max."""
         piece, theta = self._pieces[-1], self._values[_THETA]
         piece.log_argument = np.array([self._log_argument(v) for v in
                                        (theta[-2] + piece.fits[_THETA][1]).tolist()])
@@ -486,7 +486,7 @@ class BookIntegrals:
                 self.t_max = self._bisect(*points[outside[0]:outside[0] + 2])
 
     def _bisect(self, lo: float, hi: float) -> float:
-        # log_argument(lo) > 0 >= log_argument(hi); first zero to _BISECTION_TOL
+        # 1 - z c1 e^Theta is > 0 at lo and <= 0 at hi; first zero to _BISECTION_TOL
         while hi - lo > _BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:

@@ -479,9 +479,9 @@ class TestIntegralKernel:
 
     @pytest.mark.parametrize("a, horizon", [(1e15, 2.0), (1e17, 64.0)])
     def test_window_at_a_large_base_point(self, a, horizon):
-        # from about 1.8e14 on, a + k * 0.5 can round to the last piece end;
-        # the next end is then the next float.  A search that made no
-        # progress would never return, so it runs under a timeout
+        # from about 9e15 on, a + k * 0.5 rounds to the last piece end and
+        # the next end is the next float.  A search that made no progress
+        # would never return, so it runs under a timeout
         code = (
             "from booksis.canonical import BookSystem\n"
             "from booksis.deformed import DeformedBookSystem, validity_window\n"
