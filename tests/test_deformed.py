@@ -364,7 +364,10 @@ class TestIntegralKernel:
         rate=st.tuples(st.floats(-0.5, 0.5), st.floats(0.0, 0.5), st.floats(0.2, 20.0)),
         source=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(0.2, 20.0)),
         z_c1=st.one_of(st.just(0.0), st.floats(-0.5, 0.05)),
-        times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4),
+        # a few times in any order, or an ascending sweep whose times fall
+        # inside pieces that end on the grid
+        times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4)
+        | st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12).map(sorted),
     )
     # a piece one subnormal wide, whose half-width rounds to 0
     @example(rate=(0.0, 0.0, 1.0), source=(0.0, 0.0, 1.0), z_c1=0.0, times=[5e-324])
@@ -401,6 +404,35 @@ class TestIntegralKernel:
         b_a = CF.from_text("0.5 + 0.3*sin(t)")
         BookIntegrals(b_a, CF.constant(0.5), 0.0, 1e-10, 0.0).theta(0.5)
         assert sum(f is b_a for f in calls) == CHEBYSHEV_NODES
+
+    @staticmethod
+    def counted_kernel(monkeypatch):
+        calls = []
+        call = CF.__call__
+
+        def counting(self, t):
+            calls.append(self)
+            return call(self, t)
+
+        monkeypatch.setattr(CF, "__call__", counting)
+        b_a = CF.from_text("0.5 + 0.3*sin(t)")
+        b_b = CF.from_text("0.5 + 0.2*cos(2*t)")
+        return BookIntegrals(b_a, b_b, 0.0, 1e-10, 0.0), calls
+
+    def test_classical_sweep_builds_one_piece_per_chunk(self, monkeypatch):
+        # 81 times on [0, 4] ask for 80 intervals; the pieces end on the
+        # 0.5 grid, so the sweep builds 8 and reads the rest inside them
+        k, calls = self.counted_kernel(monkeypatch)
+        for t in np.linspace(0.0, 4.0, 81):
+            k.forced(float(t))
+        assert sum(f is k.b_a for f in calls) == 8 * CHEBYSHEV_NODES
+        assert sum(f is k.b_b for f in calls) == 8 * CHEBYSHEV_NODES
+
+    def test_cold_classical_query_is_one_piece(self, monkeypatch):
+        k, calls = self.counted_kernel(monkeypatch)
+        k.forced(3.0)
+        assert sum(f is k.b_a for f in calls) == CHEBYSHEV_NODES
+        assert sum(f is k.b_b for f in calls) == CHEBYSHEV_NODES
 
     def test_call_order_does_not_change_bits(self):
         b_a = CF.from_text("0.5 + 0.3*sin(t)")
@@ -476,6 +508,46 @@ class TestIntegralKernel:
         assert state.y == pytest.approx((c.c2 + forced) / e_gamma(t), rel=1e-9)
         with pytest.raises(EvaluationDomainError):
             evaluate(1.9)
+
+    @pytest.mark.parametrize("b_a, b_b", [("0.5", "ln(1.8 - t)"), ("ln(1.8 - t)", "0.5")],
+                             ids=["source", "rate"])
+    def test_classical_piece_past_a_failed_time_is_cut(self, b_a, b_b):
+        # a coefficient ln(1.8 - t) ends at 1.8: t = 1.9 raises, and the
+        # piece that failed there is rebuilt to end on 1.7 instead of
+        # failing again
+        base = BookSystem(CF.from_text(b_a), CF.from_text(b_b))
+        c = IntegrationConstants(0.4, 1.0)
+        evaluate = solution_evaluator(base, c)
+        with pytest.raises(EvaluationDomainError):
+            evaluate(1.9)
+        state = evaluate(1.7).state
+        assert state == solution_evaluator(base, c)(1.7).state
+        if b_a == "0.5":
+            assert (state.x, state.y) == (0.9358587407703963, -0.03839985958650712)
+        # a sweep asks past 1.5 inside the chunk [1.5, 2], which reaches
+        # past the domain end: each such piece is cut at its time
+        evaluate = solution_evaluator(base, c)
+        for t in np.linspace(0.0, 1.75, 36):
+            state = evaluate(float(t)).state
+        cold = solution_evaluator(base, c)(1.75).state
+        assert state.x == pytest.approx(cold.x, rel=1e-12, abs=1e-12)
+        assert state.y == pytest.approx(cold.y, rel=1e-12, abs=1e-12)
+        with pytest.raises(EvaluationDomainError):
+            evaluate(1.8)
+
+    def test_classical_overflow_past_the_asked_time(self):
+        # Gamma = Theta = 300 t, so e^Gamma overflows past t = 2.366, inside
+        # the chunk [2, 2.5]: the piece is cut at the asked time instead
+        base = BookSystem(CF.constant(300.0), CF.constant(1.0))
+        c = IntegrationConstants(1e-300, 1.0)
+        evaluate = solution_evaluator(base, c)
+        for t in np.linspace(2.0, 2.3, 7):
+            swept = evaluate(float(t)).state
+        cold = solution_evaluator(base, c)(2.3).state
+        for state in (swept, cold):
+            assert math.isfinite(state.x) and math.isfinite(state.y)
+        assert swept.x == pytest.approx(cold.x, rel=1e-12)
+        assert swept.y == pytest.approx(cold.y, rel=1e-12)
 
     @pytest.mark.parametrize("a, horizon", [(1e15, 2.0), (1e17, 64.0)])
     def test_window_at_a_large_base_point(self, a, horizon):
