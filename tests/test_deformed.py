@@ -389,24 +389,9 @@ class TestIntegralKernel:
             for integral, integrand in integrands:
                 assert abs(integral(t) - integrate(integrand, 0.0, t, 1e-13)) <= tol
 
-    def test_every_sample_goes_through_call(self, monkeypatch):
-        # the kernel samples a coefficient only through f(t), the one
-        # evaluation path (and the boundary a tracer wraps): one piece of
-        # Theta calls b_a once per Chebyshev node
-        calls = []
-        call = CF.__call__
-
-        def counting(self, t):
-            calls.append(self)
-            return call(self, t)
-
-        monkeypatch.setattr(CF, "__call__", counting)
-        b_a = CF.from_text("0.5 + 0.3*sin(t)")
-        BookIntegrals(b_a, CF.constant(0.5), 0.0, 1e-10, 0.0).theta(0.5)
-        assert sum(f is b_a for f in calls) == CHEBYSHEV_NODES
-
     @staticmethod
     def counted_kernel(monkeypatch):
+        """A z c1 = 0 kernel and the list of coefficients its samples called."""
         calls = []
         call = CF.__call__
 
@@ -418,6 +403,14 @@ class TestIntegralKernel:
         b_a = CF.from_text("0.5 + 0.3*sin(t)")
         b_b = CF.from_text("0.5 + 0.2*cos(2*t)")
         return BookIntegrals(b_a, b_b, 0.0, 1e-10, 0.0), calls
+
+    def test_every_sample_goes_through_call(self, monkeypatch):
+        # the kernel samples a coefficient only through f(t), the one
+        # evaluation path (and the boundary a tracer wraps): one piece of
+        # Theta calls b_a once per Chebyshev node
+        k, calls = self.counted_kernel(monkeypatch)
+        k.theta(0.5)
+        assert sum(f is k.b_a for f in calls) == CHEBYSHEV_NODES
 
     def test_classical_sweep_builds_one_piece_per_chunk(self, monkeypatch):
         # 81 times on [0, 4] ask for 80 intervals; the pieces end on the
