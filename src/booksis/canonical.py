@@ -33,7 +33,10 @@ three integrals as piecewise-Chebyshev interpolants on shared pieces (see
 :mod:`booksis.quadrature`): on each piece Theta's values at the nodes
 feed Gamma's integrand and Gamma's feed I's, so one sample of each
 coefficient at the piece's nodes replaces the nested adaptive
-quadratures.
+quadratures.  This module builds and reads the pieces on floats; numpy
+stays in :mod:`booksis.quadrature`, for the two matrix products per
+piece (samples to coefficients, coefficients to node values) whose row
+sums set the bits.
 
 Each closed-form evaluator returns a :class:`Jet`: the state together
 with its exact time derivative.  The derivative is the chain rule
@@ -59,10 +62,9 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
-
-import numpy as np
 
 from .errors import (
     BooksisError,
@@ -74,6 +76,7 @@ from .errors import (
 )
 from .quadrature import (
     DEFAULT_TOLERANCE,
+    chebyshev_at_nodes,
     chebyshev_fit,
     chebyshev_nodes,
     check_tolerance,
@@ -204,7 +207,7 @@ def exp_checked(arg: float, context: str, t: float | None = None) -> float:
 
 
 _BISECTION_TOL = 1e-10  # resolution of the window edge
-_LOG_MAX = math.log(np.finfo(float).max)  # largest argument of a finite exp
+_LOG_MAX = math.log(sys.float_info.max)  # largest argument of a finite exp
 # pieces end on a + k * _CHUNK, or on a later asked time for z c1 <= 0, or
 # halve a chunk
 _CHUNK = 0.5
@@ -221,27 +224,30 @@ _MIN_WIDTH = 1e-10
 _THETA, _GAMMA, _FORCED = range(3)
 
 
-def _samples(f: Callable[[float], float], nodes: np.ndarray) -> np.ndarray:
+def _samples(f: Callable[[float], float], nodes: list[float]) -> list[float]:
     """``f`` at every node, one call each.  A :class:`CoefficientFunction`
     checks its own values; a plain callable's are checked for finiteness
     here."""
-    return _finite(np.array([f(t) for t in nodes.tolist()], dtype=float), nodes)
+    return _finite([f(t) for t in nodes], nodes)
 
 
-def _finite(values: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _finite(values: list[float], nodes: list[float]) -> list[float]:
     """``values``; a non-finite one raises :class:`NonFiniteIntegrandError`
     at its node."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        raise NonFiniteIntegrandError(float(nodes[finite.argmin()]))
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteIntegrandError(
+            next(t for v, t in zip(values, nodes) if not math.isfinite(v)))
     return values
 
 
-def _exp_nodes(values: np.ndarray, nodes: np.ndarray, context: str) -> np.ndarray:
+def _exp_nodes(values: list[float], nodes: list[float], context: str) -> list[float]:
     """e^values by ``math.exp``, whose bits do not depend on the machine's
-    vector units as numpy's do; an overflow raises ExpOverflowError."""
-    return np.array([exp_checked(v, context, t)
-                     for v, t in zip(values.tolist(), nodes.tolist())])
+    vector units as numpy's do; an overflow raises ExpOverflowError naming
+    the first node where it happens."""
+    try:
+        return [math.exp(v) for v in values]
+    except OverflowError:
+        return [exp_checked(v, context, t) for v, t in zip(values, nodes)]
 
 
 class _Piece:
@@ -251,7 +257,7 @@ class _Piece:
 
     __slots__ = ("nodes", "b_a", "log_argument", "fits")
 
-    def __init__(self, nodes: np.ndarray, b_a: np.ndarray, theta_fit):
+    def __init__(self, nodes: list[float], b_a: list[float], theta_fit):
         self.nodes = nodes
         self.b_a = b_a
         self.log_argument = None
@@ -277,13 +283,15 @@ class BookIntegrals:
 
     For z c1 > 0 a piece ends on the next grid point a + k/2, halved until
     Theta, Gamma and I converge and the coefficients can be sampled, so the
-    values depend only on t.  For z c1 <= 0 it ends on the later of that
-    grid point and the time asked for, halved until the three converge: a
-    cold query at t = 3, the classical forms' common case, is one piece,
-    and a sweep builds one piece per chunk and reads the times inside it
-    by Clenshaw sums.  There a sample error, or an overflow of e^Gamma, on
-    a piece that reaches past the time asked for rebuilds the piece to end
-    on that time; on a piece that ends there it raises.
+    values depend only on t; a b_b sample that fails at or before the time
+    asked for raises at once, as I is not defined there.  For z c1 <= 0 a
+    piece ends on the later of that grid point and the time asked for,
+    halved until the three converge: a cold query at t = 3, the classical
+    forms' common case, is one piece, and a sweep builds one piece per
+    chunk and reads the times inside it by Clenshaw sums.  There a sample
+    error, or an overflow of e^Gamma, on a piece that reaches past the
+    time asked for rebuilds the piece to end on that time; on a piece
+    that ends there it raises.
 
     At z c1 == 0 the Gamma integrand is b_a, so ``gamma`` is ``theta`` and
     ``tol`` splits 50/50 over Theta and I; otherwise it splits 50/25/25
@@ -327,40 +335,47 @@ class BookIntegrals:
 
     # -- values -------------------------------------------------------------
 
+    def integrals(self, t: float) -> tuple[float, float, float]:
+        """(Theta(t), Gamma(t), I(t)), checked against the window once and
+        read off one piece."""
+        if t >= self.window_end(t):
+            raise ValidityWindowError(t, self.t_max)
+        if t > self._ends[self._done]:
+            self._complete(t)
+        if self._gamma == _THETA:
+            theta, forced = self._read(t, (_THETA, _FORCED))
+            return theta, theta, forced
+        theta, gamma, forced = self._read(t, (_THETA, _GAMMA, _FORCED))
+        return theta, gamma, forced
+
     def theta(self, t: float) -> float:
         """Theta(t) = int_a^t b_a."""
-        return self._value(t, _THETA)
+        return self.integrals(t)[0]
 
     def gamma(self, t: float) -> float:
         """Gamma(t) = int_a^t b_a / (1 - z c1 e^Theta)."""
-        return self._value(t, self._gamma)
+        return self.integrals(t)[1]
 
     def forced(self, t: float) -> float:
         """I(t) = int_a^t e^Gamma b_b."""
-        return self._value(t, _FORCED)
+        return self.integrals(t)[2]
 
     def _log_argument(self, theta: float) -> float:
         # capped, e^Theta stays finite and keeps the sign for any normal z c1
         return 1.0 - self.z_c1 * math.exp(min(theta, _LOG_MAX))
 
-    def _value(self, t: float, which: int) -> float:
-        if t >= self.window_end(t):
-            raise ValidityWindowError(t, self.t_max)
-        if t > self._ends[self._done]:
-            self._complete(t)
-        return self._read(which, t)
-
-    def _read(self, which: int, t: float) -> float:
-        """Integral ``which`` at ``t``, which a piece that carries it
-        covers: the cumulative sum at an end, else the start value plus
-        the Clenshaw sum of the piece's antiderivative."""
+    def _read(self, t: float, which: tuple[int, ...]) -> list[float]:
+        """The integrals ``which`` at ``t``, which a piece that carries them
+        covers: the cumulative sums at an end, else the start values plus
+        the Clenshaw sums of the piece's antiderivatives."""
         ends = self._ends
         j = bisect.bisect_left(ends, t)
         if ends[j] == t:
-            return self._values[which][j]
+            return [self._values[i][j] for i in which]
         lo, hi = ends[j - 1], ends[j]
         x = (2.0 * t - lo - hi) / (hi - lo)
-        return self._values[which][j - 1] + clenshaw(self._pieces[j - 1].fits[which][0], x)
+        fits = self._pieces[j - 1].fits
+        return [self._values[i][j - 1] + clenshaw(fits[i][0], x) for i in which]
 
     # -- pieces ---------------------------------------------------------------
 
@@ -394,7 +409,7 @@ class BookIntegrals:
             self._pieces.append(_Piece(nodes, b_a, fit))
             self._ends.append(hi)
             theta = self._values[_THETA]
-            theta.append(theta[-1] + fit[2])
+            theta.append(theta[-1] + fit[1])
             if self._gamma == _GAMMA:
                 self._find_edge(lo, hi)
             hi = error = None
@@ -409,9 +424,9 @@ class BookIntegrals:
     def _complete(self, t: float) -> None:
         """Gamma and I on every piece up to ``t``.  A piece on which one of
         them does not converge, that holds the window edge or, on the grid,
-        where b_b cannot be sampled is rebuilt as its first half; off the
-        grid, one that reaches past ``t`` and raises is rebuilt to end on
-        ``t``.  Later pieces are rebuilt as needed."""
+        where b_b cannot be sampled past ``t`` is rebuilt as its first half;
+        off the grid, one that reaches past ``t`` and raises is rebuilt to
+        end on ``t``.  Later pieces are rebuilt as needed."""
         splits = 0
         while t > self._ends[self._done]:
             if self._done == len(self._pieces):
@@ -420,7 +435,7 @@ class BookIntegrals:
                 raise ValidityWindowError(t, self.t_max)
             j = self._done
             try:
-                cut = self._fit_rest(j)
+                cut = self._fit_rest(j, t)
             except BooksisError:
                 # a classical piece past t is cut at t; at t, or on the grid, it raises
                 if self.z_c1 > 0.0 or self._ends[j + 1] <= t:
@@ -436,40 +451,45 @@ class BookIntegrals:
             del self._pieces[j:], self._ends[j + 1:], self._values[_THETA][j + 1:]
             self._extend(cut, cut)
 
-    def _fit_rest(self, j: int) -> float | None:
-        """Fit Gamma and I on piece j, whose predecessors carry them.
-        Returns None when done, else the time at which to cut the piece."""
+    def _fit_rest(self, j: int, t: float) -> float | None:
+        """Fit Gamma and I on piece j, whose predecessors carry them, for
+        a value at ``t``.  Returns None when done, else the time at which
+        to cut the piece."""
         piece = self._pieces[j]
         nodes = piece.nodes
         lo, hi = self._ends[j], self._ends[j + 1]
         half = 0.5 * (hi - lo)
         if self._gamma == _GAMMA:
-            if (piece.log_argument <= 0.0).any():  # the piece holds the window edge
+            if any(v <= 0.0 for v in piece.log_argument):  # the piece holds the window edge
                 return _midpoint(lo, hi, "Gamma")
-            with np.errstate(over="ignore"):
-                integrand = _finite(piece.b_a / piece.log_argument, nodes)
+            integrand = _finite([b / v for b, v in zip(piece.b_a, piece.log_argument)],
+                                nodes)
             fit = chebyshev_fit(integrand, half, self._tols[_GAMMA])
             if fit is None:
                 return _midpoint(lo, hi, "Gamma")
             piece.fits[_GAMMA] = fit
         # Gamma, which is Theta at z c1 == 0
-        exponent = self._values[self._gamma][j] + piece.fits[self._gamma][1]
+        start = self._values[self._gamma][j]
+        exponent = [start + v for v in chebyshev_at_nodes(piece.fits[self._gamma][0])]
         growth = _exp_nodes(exponent, nodes, "forced integral")
+        # a sample error at or before t leaves I(t) undefined
+        past = bisect.bisect_right(nodes, t)
+        b_b = _samples(self.b_b, nodes[:past])
         try:
-            b_b = _samples(self.b_b, nodes)
+            b_b += _samples(self.b_b, nodes[past:])
         except BooksisError as exc:
             if self.z_c1 <= 0.0:  # only the grid is halved for a sample error
                 raise
             return _midpoint(lo, hi, "I", exc)
-        with np.errstate(over="ignore"):
-            fit = chebyshev_fit(_finite(growth * b_b, nodes), half, self._tols[_FORCED])
+        fit = chebyshev_fit(_finite([g * b for g, b in zip(growth, b_b)], nodes),
+                            half, self._tols[_FORCED])
         if fit is None:
             return _midpoint(lo, hi, "I")
         piece.fits[_FORCED] = fit
         for which in (_GAMMA, _FORCED):
             if piece.fits[which] is not None:  # no Gamma of its own at z c1 == 0
                 values = self._values[which]
-                values.append(values[j] + piece.fits[which][2])
+                values.append(values[j] + piece.fits[which][1])
         self._done += 1
         return None
 
@@ -491,14 +511,15 @@ class BookIntegrals:
         """Keep 1 - z c1 e^Theta at the newest piece's nodes, for Gamma.  Where a
         node, or hi, shows it <= 0 more than 1e-10 before t_max, bisect the new t_max."""
         piece, theta = self._pieces[-1], self._values[_THETA]
-        piece.log_argument = np.array([self._log_argument(v) for v in
-                                       (theta[-2] + piece.fits[_THETA][1]).tolist()])
-        at_end = self._log_argument(theta[-1])
-        outside = np.flatnonzero(np.append(piece.log_argument, at_end) <= 0.0)
-        if outside.size:
-            points = [lo, *piece.nodes.tolist(), hi]
-            if points[outside[0] + 1] < self.t_max - _BISECTION_TOL:
-                self.t_max = self._bisect(*points[outside[0]:outside[0] + 2])
+        start = theta[-2]
+        piece.log_argument = [self._log_argument(start + v)
+                              for v in chebyshev_at_nodes(piece.fits[_THETA][0])]
+        points = [lo, *piece.nodes, hi]
+        for i, v in enumerate([*piece.log_argument, self._log_argument(theta[-1])]):
+            if v <= 0.0:
+                if points[i + 1] < self.t_max - _BISECTION_TOL:
+                    self.t_max = self._bisect(points[i], points[i + 1])
+                return
 
     def _bisect(self, lo: float, hi: float) -> float:
         # 1 - z c1 e^Theta is > 0 at lo and <= 0 at hi; first zero to _BISECTION_TOL
@@ -506,7 +527,7 @@ class BookIntegrals:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if self._log_argument(self._read(_THETA, mid)) > 0.0:
+            if self._log_argument(self._read(mid, (_THETA,))[0]) > 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -547,16 +568,16 @@ def _book_closed_form(b_a: CoefficientFunction, b_b: CoefficientFunction, a: flo
     k = BookIntegrals(b_a, b_b, a, tol, z * c1)
 
     def evaluate(t: float) -> Jet:
-        growth = exp_checked(k.theta(t), "book solution", t)
+        theta, gamma, forced = k.integrals(t)
+        growth = exp_checked(theta, "book solution", t)
         w = z * c1 * growth
         if w >= 1.0:
             raise ValidityWindowError(t, t)
         x = c1 * growth * _shifted_log_ratio(w)
-        # Gamma is Theta when z c1 == 0: no second read of the kernel
-        g = growth if k.z_c1 == 0.0 else exp_checked(k.gamma(t), "book solution", t)
+        g = exp_checked(gamma, "book solution", t)
         if g == 0.0:
             raise ExpOverflowError(f"book solution: exp(-Gamma) overflowed at t={t!r}")
-        i_t = c2 + k.forced(t)
+        i_t = c2 + forced
         state = finite_state(CanonicalState, x, i_t / g, t)
         # x = -ln(L)/z with L = 1 - w: x' = c1 e^Theta b_a / L;
         # (e^Gamma)' = e^Gamma b_a / L, I' = e^Gamma b_b

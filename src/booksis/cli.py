@@ -530,7 +530,7 @@ def run_scenario(
         dev = max(abs(state[0] - float(num[0])), abs(state[1] - float(num[1])))
         res = _residual(adapter, t, state, exact_rates[i])
         max_dev = max(max_dev, dev)
-        if math.isfinite(res):
+        if not math.isnan(res):  # NaN: the rhs failed at the sample
             max_res = max(max_res, res)
         samples.append(
             TrajectorySample(

@@ -25,6 +25,16 @@ coefficient above round-off (Aurentz & Trefethen, "Chopping a Chebyshev
 series", ACM TOMS 2017).  The tables are built on first use, with ``math`` so that they
 are the same bits on every machine.
 
+numpy remains in two places: the product of a piece's samples with the
+coefficient matrix in :func:`chebyshev_fit` and that of a series with
+the T_k table in :func:`chebyshev_at_nodes`.  Each is one call on a
+table of at most 32 by 33, where the interpreter would take a thousand
+float operations, and their row sums, in numpy's order, set the bits of
+every closed form.  Everything else on a piece works on at most 33
+numbers, where a numpy call costs more than the arithmetic, so it runs
+on Python floats; its sums follow the pairwise order of ``np.sum``
+(:func:`_pairwise_sum`), so that the bits are those numpy gave.
+
 Integrable singularities are deliberately not handled: when an integrand
 blows up (e.g. the deformed-solution kernels at the validity-window
 edge), the adaptive loop either surfaces a non-finite sample or exhausts
@@ -52,6 +62,7 @@ __all__ = [
     "CHEBYSHEV_NODES",
     "chebyshev_nodes",
     "chebyshev_fit",
+    "chebyshev_at_nodes",
     "clenshaw",
 ]
 
@@ -254,63 +265,115 @@ CHEBYSHEV_NODES = 32
 # round-off: the convergence floor and the chop level
 _ROUNDOFF = 2.0 ** -46
 
+# row sums whose terms add up in size to less than this stay finite in
+# any order of summation
+_SAFE_SCALE = 2.0 ** 1023
+
 
 @functools.cache
-def _tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tables(n: int) -> tuple[list[float], np.ndarray, np.ndarray]:
     """First-kind nodes x_j = cos((j + 1/2) pi / n) in ascending order, the
     matrix taking samples at them to Chebyshev coefficients, and
     T_k(x_j) for k = 0..n."""
     angles = [math.pi * (n - j - 0.5) / n for j in range(n)]
-    nodes = np.array([math.cos(a) for a in angles])
     t_k = np.array([[math.cos(k * a) for k in range(n + 1)] for a in angles])
     to_coefficients = (2.0 / n) * t_k[:, :n].T
     to_coefficients[0] *= 0.5
-    return nodes, to_coefficients, t_k
+    return [math.cos(a) for a in angles], to_coefficients, t_k
 
 
-def chebyshev_nodes(lo: float, hi: float) -> np.ndarray:
+def chebyshev_nodes(lo: float, hi: float) -> list[float]:
     """The ``CHEBYSHEV_NODES`` first-kind Chebyshev nodes of [lo, hi],
     ascending; none is an endpoint."""
-    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _tables(CHEBYSHEV_NODES)[0]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return [mid + half * x for x in _tables(CHEBYSHEV_NODES)[0]]
 
 
-def chebyshev_fit(values: np.ndarray, half: float, tol: float):
+def _pairwise_sum(terms: list[float]) -> float:
+    """``np.sum`` of ``terms`` as a float array, bit for bit, for up to 128
+    terms (a fit sums at most ``CHEBYSHEV_NODES + 1``).  numpy adds to 0.0
+    a pairwise sum: below 8 terms left to right, else 8 accumulators that
+    each take every 8th term, combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the remaining
+    terms left to right.  Above 128 terms numpy sums two halves."""
+    n = len(terms)
+    if n < 8:
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+    r0, r1, r2, r3, r4, r5, r6, r7 = terms[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += terms[i]
+        r1 += terms[i + 1]
+        r2 += terms[i + 2]
+        r3 += terms[i + 3]
+        r4 += terms[i + 4]
+        r5 += terms[i + 5]
+        r6 += terms[i + 6]
+        r7 += terms[i + 7]
+    total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for term in terms[end:]:
+        total += term
+    return total
+
+
+def _row_sums(table: np.ndarray, vector, scale: float) -> list[float]:
+    """``(table * vector).sum(axis=1)`` as floats, where the terms of each
+    row add up in size to at most ``scale``.  From the float limit on a
+    sum may overflow to inf or NaN, which the callers' tests and finite
+    checks reject, so numpy is told not to warn of it."""
+    if scale < _SAFE_SCALE:
+        return (table * vector).sum(axis=1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (table * vector).sum(axis=1).tolist()
+
+
+def chebyshev_fit(values: list[float], half: float, tol: float):
     """Antiderivative of the integrand sampled as ``values`` at the
     :func:`chebyshev_nodes` of a piece of half-width ``half``.
 
     Returns None when the series has not converged (see the module
-    docstring), else ``(series, at_nodes, total)``: the antiderivative's
-    Chebyshev coefficients on the piece, a tuple whose value is 0 at the
-    piece's start, its values at the nodes and its value at the piece's
-    end, the integral over the piece.  Sums run in numpy's fixed pairwise
-    order, not through BLAS, so the bits do not depend on the machine.
+    docstring), else ``(series, total)``: the antiderivative's Chebyshev
+    coefficients on the piece, a tuple whose value is 0 at the piece's
+    start, and its value at the piece's end, the integral over the piece;
+    :func:`chebyshev_at_nodes` gives its values at the nodes.  The
+    coefficients of the samples are one numpy product; the rest runs on
+    floats, with its sums in numpy's order (:func:`_pairwise_sum`).
+    Neither goes through BLAS, so the bits do not depend on the machine.
     """
-    n = values.size
-    _, to_coefficients, t_k = _tables(n)
-    # samples near the float limit overflow the sums to inf or NaN: the
-    # test below then fails, or the caller's finite checks raise
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = (to_coefficients * values).sum(axis=1)
-        magnitude = np.abs(c)
-        floor = _ROUNDOFF * float(np.abs(values).max())
-        # a piece one subnormal wide has half-width 0, and integral 0
-        bound = tol / half if half > 0.0 else math.inf
-        if not magnitude[-(n // 4):].max() <= max(bound, floor):  # NaN fails too
+    n = len(values)
+    largest = max(map(abs, values))
+    # each row of the matrix sums to at most 2 in size: |c_k| <= 2 max |v|
+    c = _row_sums(_tables(n)[1], values, 2.0 * largest)
+    floor = _ROUNDOFF * largest
+    # a piece one subnormal wide has half-width 0, and integral 0
+    bound = tol / half if half > 0.0 else math.inf
+    limit = max(bound, floor)
+    for coefficient in c[-(n // 4):]:
+        if not abs(coefficient) <= limit:  # NaN fails too
             return None
-        above = np.flatnonzero(magnitude > floor)
-        m = int(above[-1]) + 1 if above.size else 1
-        # integrate term by term: A_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
-        # counted twice (int T_0 = T_1), and A_0 makes the antiderivative
-        # vanish at x = -1, where T_k = (-1)^k
-        padded = np.zeros(m + 2)
-        padded[:m] = c[:m]
-        padded[0] *= 2.0
-        a = np.empty(m + 1)
-        a[1:] = half * (padded[:m] - padded[2:]) / (2.0 * np.arange(1, m + 1))
-        a[0] = a[1::2].sum() - a[2::2].sum()
-        at_nodes = (t_k[:, :m + 1] * a).sum(axis=1)
-        total = float(a.sum())
-    return tuple(a.tolist()), at_nodes, total
+    # chop after the last coefficient above round-off
+    m = n
+    while m > 1 and not abs(c[m - 1]) > floor:
+        m -= 1
+    # integrate term by term: A_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
+    # counted twice (int T_0 = T_1), and A_0 makes the antiderivative
+    # vanish at x = -1, where T_k = (-1)^k
+    c = c[:m] + [0.0, 0.0]
+    c[0] *= 2.0
+    a = [0.0] + [half * (c[k - 1] - c[k + 1]) / (2.0 * k) for k in range(1, m + 1)]
+    a[0] = _pairwise_sum(a[1::2]) - _pairwise_sum(a[2::2])
+    return tuple(a), _pairwise_sum(a)
+
+
+def chebyshev_at_nodes(series: tuple[float, ...]) -> list[float]:
+    """Values of the Chebyshev series ``series`` at the ``CHEBYSHEV_NODES``
+    first-kind nodes, by one numpy product."""
+    t_k = _tables(CHEBYSHEV_NODES)[2][:, :len(series)]
+    # |T_k| <= 1
+    return _row_sums(t_k, series, len(series) * max(map(abs, series)))
 
 
 def clenshaw(series: tuple[float, ...], x: float) -> float:

@@ -244,6 +244,20 @@ class TestResidual:
         assert metadata["samples_evaluated"] > 0
         assert metadata["max_residual"] <= 1e-12
 
+    def test_infinite_residual_is_reported(self, tmp_path):
+        # e^Gamma = e^{300 t} makes the rate's product i_t * d_g overflow
+        # from t = 1.2 on: the rate is -inf while the state is finite, so
+        # the residual is inf, and the report must not skip it
+        path = write_scenario(
+            tmp_path, model="book-canonical", coefficients={"bA": "300", "bB": "1"},
+            initial={"chart": "xy", "values": [1e-300, 1.0]},
+            grid={"t_start": 0.0, "t_end": 2.3, "n_samples": 24})
+        trajectory, metadata, _ = run_scenario(path, out_dir=tmp_path / "out")
+        assert math.isinf(trajectory.samples[-1].residual)
+        assert metadata["max_residual"] == math.inf
+        report = json.loads((tmp_path / "out" / "scen.report.json").read_text())
+        assert report["max_residual"] == math.inf
+
     # (model, fixed coefficients, varied key, its two values, chart, values, z);
     # the constant-rate models fix b == 1, so their pair differs in rho0
     TEETH = [

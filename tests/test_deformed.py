@@ -502,6 +502,29 @@ class TestIntegralKernel:
         with pytest.raises(EvaluationDomainError):
             evaluate(1.9)
 
+    def test_grid_source_error_before_the_asked_time_raises_at_once(self):
+        # asked at 1.9, b_b = ln(1.8 - t) fails at a node of the chunk
+        # [1.5, 2] before 1.9, so I(1.9) is undefined: the kernel raises
+        # from the chunk's first sampling instead of halving it towards
+        # 1.8 (2,021 samples)
+        class Counting:
+            def __init__(self, f):
+                self.f = f
+                self.calls = 0
+
+            def __call__(self, t):
+                self.calls += 1
+                return self.f(t)
+
+        b_b = Counting(CF.from_text("ln(1.8 - t)"))
+        k = BookIntegrals(CF.constant(0.5), b_b, 0.0, 1e-10, 0.04)
+        with pytest.raises(EvaluationDomainError):
+            k.forced(1.9)
+        assert b_b.calls <= 4 * CHEBYSHEV_NODES
+        # a failure past the asked time still halves the chunk: 1.79
+        # evaluates, with the bits it had when every failure halved
+        assert k.integrals(1.79) == (0.895, 0.957200624569276, -1.85251305164234)
+
     @pytest.mark.parametrize("b_a, b_b", [("0.5", "ln(1.8 - t)"), ("ln(1.8 - t)", "0.5")],
                              ids=["source", "rate"])
     def test_classical_piece_past_a_failed_time_is_cut(self, b_a, b_b):

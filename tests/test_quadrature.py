@@ -1,12 +1,16 @@
 import math
+import random
+import struct
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from booksis import quadrature
 from booksis.errors import NonFiniteIntegrandError, QuadratureConvergenceError
-from booksis.quadrature import cumulative, integrate
+from booksis.quadrature import CHEBYSHEV_NODES, cumulative, integrate
 
 
 def simpson(f, lo, hi, n):
@@ -223,3 +227,115 @@ def test_matches_simpson_oracle(upper):
 
     value = integrate(f, 0.0, upper, 1e-11)
     assert value == pytest.approx(math.atan(upper), abs=1e-9)
+
+
+# --- Chebyshev pieces against the numpy reference ---------------------------------
+
+def reference_chebyshev_fit(values: np.ndarray, half: float, tol: float):
+    """``chebyshev_fit`` as it was written in numpy throughout, returning
+    ``(series, at_nodes, total)``: the bits the float version must keep."""
+    n = values.size
+    _, to_coefficients, t_k = quadrature._tables(n)
+    # samples near the float limit overflow the sums to inf or NaN: the
+    # test below then fails, or the caller's finite checks raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (to_coefficients * values).sum(axis=1)
+        magnitude = np.abs(c)
+        floor = quadrature._ROUNDOFF * float(np.abs(values).max())
+        # a piece one subnormal wide has half-width 0, and integral 0
+        bound = tol / half if half > 0.0 else math.inf
+        if not magnitude[-(n // 4):].max() <= max(bound, floor):  # NaN fails too
+            return None
+        above = np.flatnonzero(magnitude > floor)
+        m = int(above[-1]) + 1 if above.size else 1
+        # integrate term by term: A_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
+        # counted twice (int T_0 = T_1), and A_0 makes the antiderivative
+        # vanish at x = -1, where T_k = (-1)^k
+        padded = np.zeros(m + 2)
+        padded[:m] = c[:m]
+        padded[0] *= 2.0
+        a = np.empty(m + 1)
+        a[1:] = half * (padded[:m] - padded[2:]) / (2.0 * np.arange(1, m + 1))
+        a[0] = a[1::2].sum() - a[2::2].sum()
+        at_nodes = (t_k[:, :m + 1] * a).sum(axis=1)
+        total = float(a.sum())
+    return tuple(a.tolist()), at_nodes, total
+
+
+def same_bits(x: float, y: float) -> bool:
+    """x and y are the same double, or both NaN (whose payload numpy and
+    the interpreter may propagate differently)."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def assert_fit_matches_reference(values: list[float], half: float, tol: float):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = quadrature.chebyshev_fit(values, half, tol)
+        reference = reference_chebyshev_fit(np.array(values), half, tol)
+        if reference is None:
+            assert fit is None
+            return
+        series, total = fit
+        at_nodes = quadrature.chebyshev_at_nodes(series)
+    expected_series, expected_at_nodes, expected_total = reference
+    assert len(series) == len(expected_series)
+    assert all(map(same_bits, series, expected_series))
+    assert len(at_nodes) == len(expected_at_nodes)
+    assert all(map(same_bits, at_nodes, expected_at_nodes.tolist()))
+    assert same_bits(total, expected_total)
+
+
+# |p| + |q| <= 2, so a scale up to 8.9e307 keeps the smooth samples finite
+SCALES = st.sampled_from([1.0, 1e-300, 1e-8, 1e8, 1e300, 8.9e307])
+TOLERANCES = st.floats(min_value=1e-14, max_value=1e-6)
+
+
+@given(
+    st.floats(-10.0, 10.0), st.floats(0.0, 4.0),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(0.0, 40.0), st.floats(0.0, 6.0),
+    SCALES, TOLERANCES,
+)
+@example(lo=1.0, width=0.0, p=1.0, q=0.5, omega=3.0, phase=0.0, scale=8.9e307, tol=1e-10)
+@settings(max_examples=300, deadline=None)
+def test_fit_of_smooth_samples_keeps_the_reference_bits(lo, width, p, q, omega, phase,
+                                                         scale, tol):
+    # width 0 gives half-width 0; a large omega gives series that do not
+    # converge, so the None branch is compared too
+    hi = lo + width
+    values = [scale * (p + q * math.sin(omega * t + phase))
+              for t in quadrature.chebyshev_nodes(lo, hi)]
+    assert_fit_matches_reference(values, 0.5 * (hi - lo), tol)
+
+
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False),
+             min_size=CHEBYSHEV_NODES, max_size=CHEBYSHEV_NODES),
+    st.sampled_from([0.0, 5e-324, 1e-6, 0.25, 3.0]),
+    TOLERANCES,
+)
+@example(values=[1.7e308, -1.7e308] * (CHEBYSHEV_NODES // 2), half=0.25, tol=1e-10)
+@example(values=[1.7976931348623157e308] * CHEBYSHEV_NODES, half=0.0, tol=1e-10)
+@example(values=[-0.0] * CHEBYSHEV_NODES, half=0.25, tol=1e-10)
+@settings(max_examples=300, deadline=None)
+def test_fit_of_rough_samples_keeps_the_reference_bits(values, half, tol):
+    # arbitrary finite samples: round-off noise, subnormals, -0.0 and
+    # samples near +-1e308, whose coefficients overflow without a warning
+    assert_fit_matches_reference(values, half, tol)
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_pairwise_sum_is_numpy_sum(n):
+    # contiguous and strided views of 50 random arrays, with signed zeros,
+    # subnormals and sums that overflow
+    rng = random.Random(n)
+    pool = [0.0, -0.0, 1e308, -1e308, 5e-324]
+    for _ in range(50):
+        data = np.array([rng.choice(pool) if rng.random() < 0.2
+                         else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+                         for _ in range(3 * n + 1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for view in (data[:n], data[1::2][:n], data[2::3][:n], -np.abs(data[:n]) * 0.0):
+                assert same_bits(quadrature._pairwise_sum(view.tolist()), float(view.sum()))
