@@ -281,17 +281,17 @@ class BookIntegrals:
     forwards from ``a``: a time before it, or one that is not finite,
     raises ``ValueError``.
 
-    For z c1 > 0 a piece ends on the next grid point a + k/2, halved until
-    Theta, Gamma and I converge and the coefficients can be sampled, so the
-    values depend only on t; a b_b sample that fails at or before the time
-    asked for raises at once, as I is not defined there.  For z c1 <= 0 a
-    piece ends on the later of that grid point and the time asked for,
-    halved until the three converge: a cold query at t = 3, the classical
+    For z c1 > 0 a piece ends on the next grid point a + k/2, so the values
+    depend only on t.  For z c1 <= 0 it ends on the later of that grid
+    point and the time asked for: a cold query at t = 3, the classical
     forms' common case, is one piece, and a sweep builds one piece per
-    chunk and reads the times inside it by Clenshaw sums.  There a sample
-    error, or an overflow of e^Gamma, on a piece that reaches past the
-    time asked for rebuilds the piece to end on that time; on a piece
-    that ends there it raises.
+    chunk and reads the times inside it by Clenshaw sums.  Either piece is
+    halved until Theta, Gamma and I converge.  One rule handles a failed
+    piece: where b_a cannot be sampled, or I's integrand e^Gamma b_b
+    cannot be formed past the time asked for, the piece ends earlier --
+    halved on the grid, cut at that time otherwise -- and a piece that
+    cannot end earlier raises the failure.  A failure of I's integrand at
+    or before the time asked for raises at once, as I is not defined there.
 
     At z c1 == 0 the Gamma integrand is b_a, so ``gamma`` is ``theta`` and
     ``tol`` splits 50/50 over Theta and I; otherwise it splits 50/25/25
@@ -395,14 +395,10 @@ class BookIntegrals:
             try:
                 b_a = _samples(self.b_a, nodes)
             except BooksisError as exc:
-                if self.z_c1 <= 0.0:  # only the grid is halved for a sample error
-                    if hi <= t:
-                        raise
-                    hi = t  # a classical piece past t is cut at t
-                    continue
-                error, fit = error or exc, None
-            else:
-                fit = chebyshev_fit(b_a, 0.5 * (hi - lo), self._tols[_THETA])
+                error = error or exc
+                hi = self._retreat(lo, hi, t, "Theta", error)
+                continue
+            fit = chebyshev_fit(b_a, 0.5 * (hi - lo), self._tols[_THETA])
             if fit is None:
                 hi = _midpoint(lo, hi, "Theta", error)
                 continue
@@ -423,10 +419,10 @@ class BookIntegrals:
 
     def _complete(self, t: float) -> None:
         """Gamma and I on every piece up to ``t``.  A piece on which one of
-        them does not converge, that holds the window edge or, on the grid,
-        where b_b cannot be sampled past ``t`` is rebuilt as its first half;
-        off the grid, one that reaches past ``t`` and raises is rebuilt to
-        end on ``t``.  Later pieces are rebuilt as needed."""
+        them does not converge or that holds the window edge is rebuilt as
+        its first half, and one on which I's integrand fails past ``t``
+        where :meth:`_retreat` ends it.  Later pieces are rebuilt as
+        needed."""
         splits = 0
         while t > self._ends[self._done]:
             if self._done == len(self._pieces):
@@ -434,13 +430,7 @@ class BookIntegrals:
             if t >= self.t_max:
                 raise ValidityWindowError(t, self.t_max)
             j = self._done
-            try:
-                cut = self._fit_rest(j, t)
-            except BooksisError:
-                # a classical piece past t is cut at t; at t, or on the grid, it raises
-                if self.z_c1 > 0.0 or self._ends[j + 1] <= t:
-                    raise
-                cut = t
+            cut = self._fit_rest(j, t)
             if cut is None:
                 continue
             splits += 1
@@ -471,18 +461,14 @@ class BookIntegrals:
         # Gamma, which is Theta at z c1 == 0
         start = self._values[self._gamma][j]
         exponent = [start + v for v in chebyshev_at_nodes(piece.fits[self._gamma][0])]
-        growth = _exp_nodes(exponent, nodes, "forced integral")
-        # a sample error at or before t leaves I(t) undefined
+        # a failure at or before t leaves I(t) undefined
         past = bisect.bisect_right(nodes, t)
-        b_b = _samples(self.b_b, nodes[:past])
+        integrand = self._forced_integrand(exponent[:past], nodes[:past])
         try:
-            b_b += _samples(self.b_b, nodes[past:])
+            integrand += self._forced_integrand(exponent[past:], nodes[past:])
         except BooksisError as exc:
-            if self.z_c1 <= 0.0:  # only the grid is halved for a sample error
-                raise
-            return _midpoint(lo, hi, "I", exc)
-        fit = chebyshev_fit(_finite([g * b for g, b in zip(growth, b_b)], nodes),
-                            half, self._tols[_FORCED])
+            return self._retreat(lo, hi, t, "I", exc)
+        fit = chebyshev_fit(integrand, half, self._tols[_FORCED])
         if fit is None:
             return _midpoint(lo, hi, "I")
         piece.fits[_FORCED] = fit
@@ -492,6 +478,22 @@ class BookIntegrals:
                 values.append(values[j] + piece.fits[which][1])
         self._done += 1
         return None
+
+    def _forced_integrand(self, exponent: list[float], nodes: list[float]) -> list[float]:
+        """I's integrand e^Gamma b_b at ``nodes``, checked finite."""
+        growth = _exp_nodes(exponent, nodes, "forced integral")
+        return _finite([g * b for g, b in zip(growth, _samples(self.b_b, nodes))], nodes)
+
+    def _retreat(self, lo: float, hi: float, t: float, integral: str,
+                 error: BooksisError) -> float:
+        """Where the piece [lo, hi] on which ``integral`` failed with
+        ``error`` ends instead: halved on the grid, else cut at ``t``, the
+        time asked for.  A piece that cannot end earlier raises ``error``."""
+        if self.z_c1 > 0.0:
+            return _midpoint(lo, hi, integral, error)
+        if hi <= t:
+            raise error
+        return t
 
     # -- validity window ----------------------------------------------------------
 

@@ -456,26 +456,20 @@ def run_scenario(
     t_max = adapter.validity_t_max(scenario.t_end + 1.0)
     domain_exit = None
 
-    times = [float(t) for t in grid]
-    if t_max <= scenario.t_end:
-        kept = [t for t in times if t < t_max]
-        skipped = [t for t in times if t >= t_max]
-        domain_exit = {
-            "first_failing_t": skipped[0] if skipped else t_max,
-            "reason": f"validity window ends at t_max={t_max!r}",
-        }
-        times = kept
-
     evaluate = adapter.exact_evaluator(scenario.quadrature_tol)
     exact_states: list[tuple[float, float]] = []
     exact_rates: list[tuple[float, float]] = []
     evaluated_times: list[float] = []
-    for t in times:
+    # the sweep stops at the first failure it meets, which is the one reported
+    for t in map(float, grid):
+        if t >= t_max:
+            domain_exit = {"first_failing_t": t,
+                           "reason": f"validity window ends at t_max={t_max!r}"}
+            break
         try:
             state, rate = evaluate(t)
         except BooksisError as exc:
-            if domain_exit is None:
-                domain_exit = {"first_failing_t": t, "reason": str(exc)}
+            domain_exit = {"first_failing_t": t, "reason": str(exc)}
             break
         exact_states.append(state)
         exact_rates.append(rate)

@@ -155,6 +155,25 @@ class TestRunScenario:
         # evaluated samples stop strictly below t_max
         assert all(s.t < metadata["validity_t_max"] for s in trajectory.samples)
 
+    def test_first_failure_is_reported(self, tmp_path):
+        # the window ends at ln 2, but b_b = ln(0.35 - t) stops the sweep
+        # first, at 0.35: the domain exit names that time and error
+        doc = {
+            "model": "deformed-book",
+            "coefficients": {"bA": "1", "bB": "ln(0.35 - t)"},
+            "z": 1.0,
+            "initial": {"chart": "xy", "values": [math.log(2.0), 1.0]},
+            "grid": {"t_start": 0.0, "t_end": 2.0, "n_samples": 41},
+        }
+        path = tmp_path / "first.json"
+        path.write_text(json.dumps(doc))
+        trajectory, metadata, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert len(trajectory.samples) == 7
+        assert metadata["validity_t_max"] == pytest.approx(math.log(2.0), abs=1e-9)
+        assert metadata["domain_exit"]["first_failing_t"] == pytest.approx(0.35)
+        assert "ln of non-positive argument" in metadata["domain_exit"]["reason"]
+
     def test_tolerance_violation_gives_exit_code_1(self, tmp_path):
         path = write_scenario(tmp_path, tolerances={"deviation": 1e-18})
         _, metadata, code = run_scenario(path)

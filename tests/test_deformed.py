@@ -525,6 +525,22 @@ class TestIntegralKernel:
         # evaluates, with the bits it had when every failure halved
         assert k.integrals(1.79) == (0.895, 0.957200624569276, -1.85251305164234)
 
+    def test_grid_integrand_failure_past_the_asked_time_halves(self):
+        # e^Gamma b_b = e^{10 t} 1e300 e^{50 (t - 1.3)} is not finite at
+        # nodes of the chunk [1, 1.5] past t = 1.2: the chunk is halved, as
+        # for a b_b sample error there, so t = 1.2 evaluates
+        sysd = DeformedBookSystem(
+            BookSystem(CF.constant(10.0), CF.from_text("1e300*exp(50*(t - 1.3))")), 1e-10)
+        c = deformed_fit_constants(sysd, 0.0, CanonicalState(1.0, 1.0))
+        t = 1.2
+        state = deformed_solution_evaluator(sysd, c)(t).state
+        problem = OdeProblem(
+            rhs=lambda u, v: np.array(deformed_rhs(sysd, u, CanonicalState(v[0], v[1]))),
+            t0=0.0, state0=np.array([1.0, 1.0]), t_end=t)
+        ode = integrate_ode(problem, IntegratorConfig(rtol=1e-12, atol=1e-12), [t]).states[0]
+        assert state.x == pytest.approx(ode[0], rel=1e-10)
+        assert state.y == pytest.approx(ode[1], rel=1e-10)
+
     @pytest.mark.parametrize("b_a, b_b", [("0.5", "ln(1.8 - t)"), ("ln(1.8 - t)", "0.5")],
                              ids=["source", "rate"])
     def test_classical_piece_past_a_failed_time_is_cut(self, b_a, b_b):
