@@ -361,7 +361,11 @@ class BookIntegrals:
         return self.integrals(t)[2]
 
     def _log_argument(self, theta: float) -> float:
-        # capped, e^Theta stays finite and keeps the sign for any normal z c1
+        # capped, e^Theta stays finite and keeps the sign for any normal z c1;
+        # a subnormal one reaches the edge only past the cap, so there the
+        # product is formed as e^(Theta + ln z c1)
+        if theta > _LOG_MAX and self.z_c1 > 0.0:
+            return -math.expm1(min(theta + math.log(self.z_c1), _LOG_MAX))
         return 1.0 - self.z_c1 * math.exp(min(theta, _LOG_MAX))
 
     def _read(self, t: float, which: tuple[int, ...]) -> list[float]:
@@ -479,7 +483,8 @@ class BookIntegrals:
         self._done += 1
         return None
 
-    def _forced_integrand(self, exponent: list[float], nodes: list[float]) -> list[float]:
+    def _forced_integrand(self, exponent: list[float],
+                          nodes: list[float]) -> list[float]:
         """I's integrand e^Gamma b_b at ``nodes``, checked finite."""
         growth = _exp_nodes(exponent, nodes, "forced integral")
         return _finite([g * b for g, b in zip(growth, _samples(self.b_b, nodes))], nodes)

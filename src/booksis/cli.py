@@ -121,6 +121,9 @@ def parse_scenario(data: dict, name: str = "scenario") -> Scenario:
             f"grid.n_samples must be an integer in [2, {MAX_SAMPLES}], got {n_samples!r}")
     if not t_start < t_end:
         raise ScenarioError("grid must satisfy t_start < t_end")
+    if not math.isfinite(t_end - t_start):
+        raise ScenarioError(
+            f"grid span t_end - t_start must be finite, got {t_end!r} - {t_start!r}")
 
     coeffs = data.get("coefficients")
     if not isinstance(coeffs, dict):
@@ -405,6 +408,15 @@ def build_adapter(scenario: Scenario) -> Model:
         raise ScenarioError(f"invalid scenario: {exc}") from exc
 
 
+def _sample_times(scenario: Scenario) -> list[float]:
+    """The scenario's grid.  For a span near the float limit numpy's
+    product for the last time overflows before numpy sets that time to
+    t_end, so the overflow is not reported."""
+    with np.errstate(over="ignore"):
+        grid = np.linspace(scenario.t_start, scenario.t_end, scenario.n_samples)
+    return [float(t) for t in grid]
+
+
 # --- trajectory -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -445,6 +457,7 @@ def run_scenario(
     writes CSV/report files when ``out_dir`` is given."""
     scenario = load_scenario(path)
     adapter = build_adapter(scenario)
+    out_dir = _output_dir(out_dir)
     if tol is None:
         deviation_tol = scenario.deviation_tol
     else:  # the scenario file's rule for tolerances.deviation
@@ -452,7 +465,7 @@ def run_scenario(
         if deviation_tol <= 0.0:
             raise ScenarioError(f"tol must be positive, got {tol!r}")
 
-    grid = np.linspace(scenario.t_start, scenario.t_end, scenario.n_samples)
+    grid = _sample_times(scenario)
     t_max = adapter.validity_t_max(scenario.t_end + 1.0)
     domain_exit = None
 
@@ -461,7 +474,7 @@ def run_scenario(
     exact_rates: list[tuple[float, float]] = []
     evaluated_times: list[float] = []
     # the sweep stops at the first failure it meets, which is the one reported
-    for t in map(float, grid):
+    for t in grid:
         if t >= t_max:
             domain_exit = {"first_failing_t": t,
                            "reason": f"validity window ends at t_max={t_max!r}"}
@@ -573,12 +586,31 @@ def run_scenario(
     trajectory = Trajectory(samples=samples, metadata=metadata)
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_csv(out_dir / f"{scenario.name}.csv", adapter, trajectory)
         _write_report(out_dir / f"{scenario.name}.report.json", metadata)
 
     return trajectory, metadata, exit_code
+
+
+def _output_dir(out_dir: str | Path | None) -> Path | None:
+    """``out_dir`` as a created directory, made before any work so that a
+    bad path fails fast, as an input error naming it."""
+    if out_dir is None:
+        return None
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(
+            f"cannot create output directory {str(out_dir)!r}: {exc}") from exc
+    return out_dir
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def _fmt(value: float) -> str:
@@ -597,11 +629,11 @@ def _write_csv(path: Path, adapter: Model, trajectory: Trajectory) -> None:
             row += [_fmt(s.companion[0]), _fmt(s.companion[1])]
         row += [_fmt(s.deviation), _fmt(s.residual), "1" if s.physical else "0"]
         lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_report(path: Path, metadata: dict) -> None:
-    path.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(metadata, indent=2, sort_keys=True) + "\n")
 
 
 # --- compare ----------------------------------------------------------------------
@@ -626,9 +658,9 @@ def compare_scenario(
     z_values = [float(z) for z in z_values]
     if not z_values:
         raise ScenarioError("the z sweep is empty")
+    out_dir = _output_dir(out_dir)
 
-    grid = [float(t) for t in np.linspace(scenario.t_start, scenario.t_end,
-                                          scenario.n_samples)]
+    grid = _sample_times(scenario)
 
     # classical reference from the same initial state
     classical = build_adapter(replace(scenario, z=0.0))
@@ -666,8 +698,6 @@ def compare_scenario(
                                                          row[key], nxt[key])
 
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         header = ["z", "deviation_vs_classical", "deviation_order",
                   "first_order_residual", "residual_order"]
         lines = [",".join(header)]
@@ -675,7 +705,7 @@ def compare_scenario(
             lines.append(",".join(
                 "" if row.get(k) is None else _fmt(row[k]) for k in header
             ))
-        (out_dir / f"{scenario.name}.compare.csv").write_text("\n".join(lines) + "\n")
+        _write_text(out_dir / f"{scenario.name}.compare.csv", "\n".join(lines) + "\n")
 
     return rows, EXIT_PASS
 

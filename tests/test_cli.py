@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from booksis import sis
 from booksis.canonical import IntegrationConstants
@@ -598,6 +604,41 @@ class TestMainEntryPoint:
         for t, jet in zip(times, jets):
             assert adapter.exact_evaluator(scenario.quadrature_tol)(t) == jet
 
+    def test_window_edge_for_a_subnormal_product(self, tmp_path, capsys):
+        # z c1 = 1e-310 is subnormal: 1 - z c1 e^Theta reaches 0 only at
+        # Theta = -ln(1e-310) = 713.8, past the cap ln(DBL_MAX) = 709.8 on e^Theta
+        doc = deformed_book_doc(z=1e-310)
+        doc["coefficients"] = {"bA": "300", "bB": "1"}
+        doc["initial"] = {"chart": "xy", "values": [1.0, 1.0]}
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(doc))
+        edge = -math.log(1e-310) / 300.0
+        assert main(["window", str(path)]) == EXIT_PASS
+        assert _last_number(capsys.readouterr().out) == pytest.approx(edge, abs=1e-9)
+        _, metadata, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert metadata["validity_t_max"] == pytest.approx(edge, abs=1e-9)
+
+    def test_run_rejects_an_overflowing_grid_span(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path, model="book-canonical", coefficients={"bA": "1", "bB": "1"},
+            initial={"chart": "xy", "values": [0.4, 0.8]}, a=-1e308,
+            grid={"t_start": -1e308, "t_end": 1e308, "n_samples": 5})
+        assert main(["run", str(path)]) == EXIT_INPUT
+        assert "grid span t_end - t_start must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "compare"])
+    def test_output_naming_a_file_is_an_input_error(self, tmp_path, capsys, verb):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(deformed_book_doc()))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main([verb, str(path), "--output", str(taken)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"cannot create output directory {str(taken)!r}" in captured.err
+        # it fails before the sweep, so nothing is printed
+        assert captured.out == ""
+
     def test_window_verb_unbounded(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         path.write_text(json.dumps(deformed_book_doc(z=-0.5)))
@@ -626,3 +667,51 @@ class TestMainEntryPoint:
         assert "dev_vs_classical" not in captured.out
         with pytest.raises(ScenarioError, match="the z sweep is empty"):
             compare_scenario(path, [])
+
+
+
+# grid ends at the edges of the float range, where spans overflow or
+# round, and next to 0
+POSITIVE_TIMES = [5e-324, 1e-300, 1.0, 1e300, 1e308, sys.float_info.max]
+EXTREME_TIMES = [0.0, *POSITIVE_TIMES, *(-t for t in POSITIVE_TIMES)]
+
+
+def _book_doc(value, ends, n):
+    return {"model": "book-canonical", "coefficients": {"bA": value, "bB": "1"},
+            "initial": {"chart": "xy", "values": [0.4, 0.8]}, "a": ends[0],
+            "grid": {"t_start": ends[0], "t_end": ends[1], "n_samples": n}}
+
+
+def _sis_constant_doc(value, t_end, n):
+    # the constant-rate closed form is pinned at t = 0
+    return {"model": "sis-constant", "coefficients": {"rho0": value},
+            "initial": {"chart": "qp", "values": [2.0 / 3.0, 3.0]},
+            "grid": {"t_start": 0.0, "t_end": t_end, "n_samples": n}}
+
+
+CONSTANTS = st.floats(-2.0, 2.0).map(repr)
+SAMPLES = st.integers(2, 30)
+
+
+@given(
+    doc=st.builds(_book_doc, CONSTANTS, st.lists(st.sampled_from(EXTREME_TIMES), min_size=2,
+                                                 max_size=2, unique=True).map(sorted), SAMPLES)
+    | st.builds(_sis_constant_doc, CONSTANTS, st.sampled_from(POSITIVE_TIMES), SAMPLES),
+    output_is_file=st.booleans(),
+)
+# a span that overflows, and an output path that names a file
+@example(doc=_book_doc("1.0", [-1e308, 1e308], 5), output_is_file=False)
+@example(doc=_sis_constant_doc("1.0", 1.0, 5), output_is_file=True)
+@settings(max_examples=40, deadline=None)
+def test_run_exit_code_is_always_a_documented_one(doc, output_is_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = tmp / "scen.json"
+        path.write_text(json.dumps(doc))
+        output = tmp / "out"
+        if output_is_file:
+            output.write_text("")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["run", str(path), "--output", str(output)])
+    assert code in (EXIT_PASS, EXIT_TOLERANCE, EXIT_INPUT, EXIT_DOMAIN)
