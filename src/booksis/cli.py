@@ -20,6 +20,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import sys
@@ -28,8 +29,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
 from . import canonical, deformed, invariants as invariants_mod, oracle, sis
 from .canonical import BookSystem, CanonicalState
 from .deformed import DeformedBookSystem, DeformedSisSystem
@@ -37,6 +36,7 @@ from .errors import (
     BooksisError,
     ExpressionError,
     NonFiniteSampleError,
+    OdeIntegrationError,
     ScenarioError,
     ValidityWindowError,
 )
@@ -384,9 +384,11 @@ class Model:
             return None
         return self._companion_values(image)
 
-    def physical(self, state: tuple[float, float]) -> bool:
+    def physical(self, state: tuple[float, float],
+                 companion: tuple[float, float] | None) -> bool:
+        """``companion`` is the state's image from :meth:`companion`."""
         if self.chart.physical_in_companion:
-            state = self.companion(state)
+            state = companion
         return state is not None and state[0] > 0.0 and state[1] > 0.0
 
     def validity_t_max(self, horizon: float) -> float:
@@ -409,12 +411,20 @@ def build_adapter(scenario: Scenario) -> Model:
 
 
 def _sample_times(scenario: Scenario) -> list[float]:
-    """The scenario's grid.  For a span near the float limit numpy's
-    product for the last time overflows before numpy sets that time to
-    t_end, so the overflow is not reported."""
-    with np.errstate(over="ignore"):
-        grid = np.linspace(scenario.t_start, scenario.t_end, scenario.n_samples)
-    return [float(t) for t in grid]
+    """The scenario's grid, ``numpy.linspace``'s values bit for bit: time
+    i is i*step + t_start, or (i/div)*delta + t_start where the step
+    underflows to 0, and the last time is t_end.  For a span near the
+    float limit the product for the last time may overflow, which that
+    time's being t_end hides."""
+    start, div = scenario.t_start, scenario.n_samples - 1
+    delta = scenario.t_end - start
+    step = delta / div
+    if step == 0.0:
+        grid = [(i / div) * delta + start for i in range(div)]
+    else:
+        grid = [i * step + start for i in range(div)]
+    grid.append(scenario.t_end)
+    return grid
 
 
 # --- trajectory -----------------------------------------------------------------
@@ -489,7 +499,6 @@ def run_scenario(
         evaluated_times.append(t)
 
     solver_stats: dict = {}
-    numeric_states: list[np.ndarray] = []
     if evaluated_times:
         # no step cap: the adaptive method samples with its own 4th-order
         # continuous extension, so its error control alone sets the steps
@@ -502,31 +511,20 @@ def run_scenario(
 
         # the scenario's own initial values, so that a closed form with
         # wrong integration constants shows as a deviation
-        state0 = np.asarray(scenario.initial)
-
-        def integrate(times: list[float]):
-            problem = oracle.OdeProblem(rhs=vector_rhs, t0=scenario.t_start,
-                                        state0=state0, t_end=times[-1])
-            solution = oracle.integrate_ode(problem, config, times)
-            return list(solution.states), dict(solution.stats)
-
+        problem = oracle.OdeProblem(rhs=vector_rhs, t0=scenario.t_start,
+                                    state0=scenario.initial, t_end=evaluated_times[-1])
         try:
-            numeric_states, solver_stats = integrate(evaluated_times)
-        except BooksisError as exc:
-            last = getattr(exc, "last_time", scenario.t_start)
-            keep = [i for i, t in enumerate(evaluated_times) if t <= last]
+            solution = oracle.integrate_ode(problem, config, evaluated_times)
+        except OdeIntegrationError as exc:
+            # the samples the pass placed up to its last good time are kept;
+            # a failed pass places none at its end, the last evaluated time
+            solution = exc.solution
+            kept = bisect.bisect_right(solution.times, exc.last_time)
             if domain_exit is None:
-                domain_exit = {
-                    "first_failing_t": (
-                        evaluated_times[len(keep)] if len(keep) < len(evaluated_times)
-                        else last
-                    ),
-                    "reason": f"numerical integration stopped: {exc}",
-                }
-            evaluated_times = [evaluated_times[i] for i in keep]
-            exact_states = [exact_states[i] for i in keep]
-            if evaluated_times:
-                numeric_states, solver_stats = integrate(evaluated_times)
+                domain_exit = {"first_failing_t": evaluated_times[kept],
+                               "reason": f"numerical integration stopped: {exc}"}
+            evaluated_times = evaluated_times[:kept]
+        numeric_states, solver_stats = solution.states, solution.stats
 
     samples = []
     max_dev = 0.0
@@ -534,19 +532,20 @@ def run_scenario(
     for i, t in enumerate(evaluated_times):
         state = exact_states[i]
         num = numeric_states[i]
-        dev = max(abs(state[0] - float(num[0])), abs(state[1] - float(num[1])))
+        dev = max(abs(state[0] - num[0]), abs(state[1] - num[1]))
         res = _residual(adapter, t, state, exact_rates[i])
         max_dev = max(max_dev, dev)
         if not math.isnan(res):  # NaN: the rhs failed at the sample
             max_res = max(max_res, res)
+        companion = adapter.companion(state)
         samples.append(
             TrajectorySample(
                 t=t,
                 state=state,
-                companion=adapter.companion(state),
+                companion=companion,
                 deviation=dev,
                 residual=res,
-                physical=adapter.physical(state),
+                physical=adapter.physical(state, companion),
             )
         )
 

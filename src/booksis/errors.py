@@ -126,7 +126,11 @@ class NonFiniteSampleError(BooksisError):
 
 class OdeIntegrationError(BooksisError):
     """Base class for numerical ODE-integrator failures.  ``last_time``
-    is the last time with a valid accepted state."""
+    is the last time with a valid accepted state.  ``solution`` is None,
+    or set by ``oracle.integrate_ode`` to the samples placed before the
+    failure."""
+
+    solution = None
 
     def __init__(self, message: str, last_time: float):
         super().__init__(f"{message} (last good time {last_time!r})")

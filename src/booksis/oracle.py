@@ -7,22 +7,23 @@ classical 4th-order scheme and an embedded adaptive 4(5) pair -- so a
 bug in one cannot silently confirm itself through the other.
 
 Both methods are generators of accepted steps, and :func:`integrate_ode`
-alone places the samples.  Inside the steppers a state is a tuple of
-Python floats, and every stage sum is written out in one fixed order, so
-the output bits depend only on IEEE double arithmetic, not on numpy.
-numpy appears only at the boundary: ``OdeProblem.state0`` and the
-sampled ``OdeSolution`` are arrays.  Between the ends of an adaptive
-step the samples come from the pair's own 4th-order continuous
-extension, a degree-4 polynomial in the step fraction built from the
-step's seven stages, so the error control alone sets the steps; between
-the ends of a fixed step they come from cubic Hermite interpolation on
-the endpoint derivatives, which is 4th-order accurate like the scheme.
-A sample at a step's end, t_end included, is the integrator's own state.
+alone places the samples.  A state is a tuple of Python floats, from
+``OdeProblem.state0`` through the steppers to the sampled
+``OdeSolution``, and every stage sum is written out in one fixed order,
+so the output bits depend only on IEEE double arithmetic.  Between the
+ends of an adaptive step the samples come from the pair's own 4th-order
+continuous extension, a degree-4 polynomial in the step fraction built
+from the step's seven stages, so the error control alone sets the steps;
+between the ends of a fixed step they come from cubic Hermite
+interpolation on the endpoint derivatives, which is 4th-order accurate
+like the scheme.  A sample at a step's end, t_end included, is the
+integrator's own state.
 
 When the right-hand side blows up (singularity, validity-window edge)
 the adaptive method keeps rejecting and shrinking the step until the
 step size underflows, which is reported as a typed error carrying the
-last good time -- never a silent non-finite state.
+last good time and the samples placed before it -- never a silent
+non-finite state.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import (
     BooksisError,
     NonFiniteRhsError,
+    OdeIntegrationError,
     StepLimitError,
     StepSizeUnderflowError,
 )
@@ -108,21 +108,19 @@ class OdeProblem:
     """Initial-value problem dy/dt = rhs(t, y), y(t0) = state0, on
     [t0, t_end].
 
-    ``state0`` is stored as a finite 1-D float array of length dim.
-    ``rhs`` receives the state as a tuple of dim Python floats and may
-    return any sequence of dim reals.
+    ``state0`` is stored as a tuple of dim finite Python floats.  ``rhs``
+    receives the state as such a tuple and may return any sequence of dim
+    reals.
     """
 
     rhs: Rhs
     t0: float
-    state0: np.ndarray
+    state0: tuple
     t_end: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "state0", np.asarray(self.state0, dtype=float).reshape(-1)
-        )
-        if not np.all(np.isfinite(self.state0)):
+        object.__setattr__(self, "state0", tuple(map(float, self.state0)))
+        if not _finite(self.state0):
             raise ValueError("state0 must be finite")
         if not (self.t_end >= self.t0):
             raise ValueError("t_end must not precede t0")
@@ -162,8 +160,8 @@ class IntegratorConfig:
 class OdeSolution:
     """States sampled at the requested times plus solver statistics."""
 
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), dim)
+    times: tuple
+    states: tuple  # one tuple of dim floats per time
     stats: dict = field(default_factory=dict)
 
 
@@ -257,7 +255,9 @@ def integrate_ode(
     Raises :class:`StepSizeUnderflowError` when approaching a singularity,
     :class:`StepLimitError` past ``max_steps``, and
     :class:`NonFiniteRhsError` when the derivative is non-finite at the
-    initial state (the fixed-step method raises it anywhere).
+    initial state (the fixed-step method raises it anywhere).  The error's
+    ``solution`` holds the samples placed before the failure and the
+    stats of the steps taken.
     """
     ts = [float(t) for t in sample_times]
     if any(b < a for a, b in zip(ts, ts[1:])):
@@ -271,7 +271,7 @@ def integrate_ode(
         stepper, stats = _integrate_fixed, {"steps": 0, "rhs_evals": 0}
     else:
         stepper, stats = _integrate_adaptive, {"steps": 0, "rejected": 0, "rhs_evals": 0}
-    dim = problem.state0.shape[0]
+    dim = len(problem.state0)
 
     def eval_rhs(t: float, y: tuple) -> tuple:
         stats["rhs_evals"] += 1
@@ -288,37 +288,42 @@ def integrate_ode(
     # extension, fitted once per step that has samples, gives it, and
     # inside a fixed step the cubic Hermite interpolant
     inner = bisect.bisect_left(ts, problem.t_end)
-    out = np.empty((len(ts), dim))
+    out = []
     cursor = 0
-    for t, t_new, y, y_new, f, f_new, k in stepper(problem, config, eval_rhs, stats):
-        reach = t_new + 1e-14 * max(1.0, abs(t_new)) if t_new > t else t_new
-        if cursor == inner or ts[cursor] > reach:
-            continue
-        h = t_new - t
-        coefficients = _dense_coefficients(h, k) if k is not None else None
-        while cursor < inner and ts[cursor] <= reach:
-            tc = ts[cursor]
-            if tc == t_new or h == 0.0:
-                out[cursor] = y_new
-            elif coefficients is None:
-                out[cursor] = _hermite(tc, t, t_new, y, y_new, f, f_new)
-            else:
-                out[cursor] = _dense((tc - t) / h, y, coefficients)
-            cursor += 1
+    try:
+        for t, t_new, y, y_new, f, f_new, k in stepper(problem, config, eval_rhs, stats):
+            reach = t_new + 1e-14 * max(1.0, abs(t_new)) if t_new > t else t_new
+            if cursor == inner or ts[cursor] > reach:
+                continue
+            h = t_new - t
+            coefficients = _dense_coefficients(h, k) if k is not None else None
+            while cursor < inner and ts[cursor] <= reach:
+                tc = ts[cursor]
+                if tc == t_new or h == 0.0:
+                    out.append(y_new)
+                elif coefficients is None:
+                    out.append(_hermite(tc, t, t_new, y, y_new, f, f_new))
+                else:
+                    out.append(_dense((tc - t) / h, y, coefficients))
+                cursor += 1
+    except OdeIntegrationError as exc:
+        exc.solution = OdeSolution(tuple(ts[:cursor]), tuple(out), stats)
+        raise
     # the samples at t_end and in the round-off slack past it are the
     # integrator's own final state
-    out[cursor:] = y_new
-    return OdeSolution(np.asarray(ts), out, stats)
+    out += [y_new] * (len(ts) - cursor)
+    return OdeSolution(tuple(ts), tuple(out), stats)
 
 
 # A stepper yields every accepted step as (t, t_new, y, y_new, f, f_new, k),
-# first a zero-length one at t0, and records its step counts in ``stats``.
+# first a zero-length one at t0, and counts its steps in ``stats`` as it
+# goes, so that the counts of a failed pass are those of the steps it took.
 # k is the adaptive step's seven stages, and None for a fixed step and for
 # the zero-length one.
 
 def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
                      rhs: Rhs, stats: dict):
-    y = tuple(problem.state0.tolist())
+    y = problem.state0
     t = problem.t0
     span = problem.t_end - problem.t0
 
@@ -357,17 +362,15 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
         f_next = checked(t_next, y_next)
         yield t, t_next, y, y_next, f, f_next, None
         t, y, f = t_next, y_next, f_next
-    stats["steps"] = n_steps
+        stats["steps"] += 1
 
 
 def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
                         rhs: Rhs, stats: dict):
-    y = tuple(problem.state0.tolist())
+    y = problem.state0
     dim = len(y)
     t = problem.t0
     t_end = problem.t_end
-    n_accepted = 0
-    n_rejected = 0
 
     try:
         f = rhs(t, y)
@@ -384,7 +387,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
     zero = (0.0,) * dim
 
     while t < t_end:
-        if n_accepted + n_rejected >= config.max_steps:
+        if stats["steps"] + stats["rejected"] >= config.max_steps:
             raise StepLimitError(
                 f"max_steps={config.max_steps} exceeded", t
             )
@@ -407,7 +410,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         except _RECOVERABLE:
             pass
         if len(k) < 7:
-            n_rejected += 1
+            stats["rejected"] += 1
             h *= 0.5
             continue
 
@@ -422,7 +425,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         ])
 
         if err > 1.0 or not _finite(y_new):
-            n_rejected += 1
+            stats["rejected"] += 1
             factor = _SAFETY * err ** -0.2 if math.isfinite(err) and err > 0 else 0.5
             h *= min(1.0, max(_MIN_FACTOR, factor))
             continue
@@ -432,11 +435,9 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         f_new = k[6]
         yield t, t_new, y, y_new, f, f_new, k
         t, y, f = t_new, y_new, f_new
-        n_accepted += 1
+        stats["steps"] += 1
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         h *= factor
-    stats["steps"] = n_accepted
-    stats["rejected"] = n_rejected

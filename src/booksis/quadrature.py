@@ -284,8 +284,9 @@ def _tables(n: int) -> tuple[list[float], np.ndarray, np.ndarray]:
 
 def chebyshev_nodes(lo: float, hi: float) -> list[float]:
     """The ``CHEBYSHEV_NODES`` first-kind Chebyshev nodes of [lo, hi],
-    ascending; none is an endpoint."""
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    ascending; none is an endpoint.  Each end is halved before the two
+    are added, so the midpoint of two ends near -DBL_MAX stays finite."""
+    mid, half = 0.5 * lo + 0.5 * hi, 0.5 * (hi - lo)
     return [mid + half * x for x in _tables(CHEBYSHEV_NODES)[0]]
 
 

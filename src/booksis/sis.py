@@ -56,8 +56,6 @@ __all__ = [
     "to_canonical",
     "from_canonical",
     "sis_rhs",
-    "sis_field_a",
-    "sis_field_b",
     "sis_hamiltonian",
     "sis_exact_solution",
     "sis_solution_evaluator",
@@ -165,19 +163,6 @@ def sis_rhs(sys: SisSystem, t: float, s: EpidemicState) -> tuple[float, float]:
         r * s.q - b * (s.q * s.q + 1.0 / (s.p * s.p)),
         -r * s.p + 2.0 * b * s.q * s.p,
     )
-
-
-def sis_field_a(s: EpidemicState) -> tuple[float, float]:
-    """Dilation generator in epidemic variables: (q, -p)."""
-    return (s.q, -s.p)
-
-
-def sis_field_b(s: EpidemicState) -> tuple[float, float]:
-    """Translation generator in epidemic variables:
-    (-(q^2 + 1/p^2), 2 q p)."""
-    if s.p == 0.0:
-        raise SingularLocusError("p = 0 in sis_field_b", state=s)
-    return (-(s.q * s.q + 1.0 / (s.p * s.p)), 2.0 * s.q * s.p)
 
 
 def sis_hamiltonian(sys: SisSystem, t: float, s: EpidemicState) -> float:

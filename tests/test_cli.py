@@ -9,13 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from booksis import sis
+from booksis import oracle, sis
 from booksis.canonical import IntegrationConstants
 from booksis.cli import (
     _residual,
+    _sample_times,
     EXIT_DOMAIN,
     EXIT_INPUT,
     EXIT_PASS,
@@ -26,6 +27,7 @@ from booksis.cli import (
     main,
     parse_scenario,
     run_scenario,
+    Scenario,
 )
 from booksis.errors import BooksisError, ScenarioError
 
@@ -474,6 +476,40 @@ class TestMainEntryPoint:
         report = json.loads((tmp_path / "out" / "scen.report.json").read_text())
         assert "numerical integration stopped" in report["domain_exit"]["reason"]
 
+    def test_run_integrates_once_when_the_oracle_stops(self, tmp_path, monkeypatch):
+        # the samples placed before the oracle stopped are kept from that
+        # one pass, not integrated again
+        calls = []
+        integrate_ode = oracle.integrate_ode
+
+        def counted(*args):
+            calls.append(args)
+            return integrate_ode(*args)
+
+        monkeypatch.setattr(oracle, "integrate_ode", counted)
+        path = write_scenario(
+            tmp_path, model="moments",
+            initial={"chart": "moments", "values": [0.1, 5.0]})
+        _, report, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert "numerical integration stopped" in report["domain_exit"]["reason"]
+        assert report["samples_evaluated"] > 0
+        assert len(calls) == 1
+
+    def test_run_oracle_failure_at_the_initial_state_writes_outputs(self, tmp_path):
+        # p*p underflows to 0, so the rhs divides by zero at t_start: the
+        # oracle stops before it places a sample
+        path = write_scenario(
+            tmp_path, model="sis", coefficients={"rho0": "1", "b": "1"},
+            initial={"chart": "qp", "values": [0.5, 1e-200]},
+            grid={"t_start": 0.0, "t_end": 1.0, "n_samples": 5})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output", str(out)]) == EXIT_DOMAIN
+        report = json.loads((out / "scen.report.json").read_text())
+        assert report["domain_exit"] is not None
+        assert report["samples_evaluated"] == 0
+        assert (out / "scen.csv").read_text() == "t,q,p,x,y,deviation,residual,physical\n"
+
     def test_run_catches_wrong_integration_constants(self, monkeypatch):
         # a constant-rate closed form with the sign of c2 * rho0 flipped:
         # the oracle starts from the scenario's initial values, not from
@@ -715,3 +751,34 @@ def test_run_exit_code_is_always_a_documented_one(doc, output_is_file):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["run", str(path), "--output", str(output)])
     assert code in (EXIT_PASS, EXIT_TOLERANCE, EXIT_INPUT, EXIT_DOMAIN)
+
+
+def _grid_scenario(t_start, t_end, n_samples):
+    return Scenario(model="book-canonical", coefficients={"bA": "1", "bB": "1"}, z=0.0,
+                    a=t_start, chart="xy", initial=(0.4, 0.8), t_start=t_start,
+                    t_end=t_end, n_samples=n_samples, deviation_tol=1e-6,
+                    quadrature_tol=1e-10, seed=0)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+DBL_MAX = sys.float_info.max
+
+
+@given(FINITE, FINITE, st.integers(2, 2000))
+# the last product overflows; ends near -DBL_MAX and +DBL_MAX; a step
+# that underflows to 0; subnormal spans; a span of one ulp
+@example(-DBL_MAX / 2, DBL_MAX / 2, 4)
+@example(-DBL_MAX, -1e308, 5)
+@example(1e308, DBL_MAX, 3)
+@example(0.0, 5e-324, 1000)
+@example(-5e-324, 5e-324, 3)
+@example(1e-310, 2e-310, 100)
+@example(1.0, 1.0 + 2.0 ** -52, 7)
+@settings(max_examples=300, deadline=None)
+def test_sample_times_are_linspace_bit_for_bit(a, b, n):
+    t_start, t_end = min(a, b), max(a, b)
+    assume(t_start < t_end and math.isfinite(t_end - t_start))
+    with np.errstate(over="ignore"):
+        expected = np.linspace(t_start, t_end, n)
+    assert ([t.hex() for t in _sample_times(_grid_scenario(t_start, t_end, n))]
+            == [float(t).hex() for t in expected])

@@ -148,7 +148,7 @@ class TestMethodAgreement:
             problem, IntegratorConfig(method="fixed", step=0.001), times
         )
         # bounded by the adaptive method's dense-output error
-        assert np.max(np.abs(adaptive.states - fixed.states)) <= 5e-8
+        assert np.max(np.abs(np.asarray(adaptive.states) - np.asarray(fixed.states))) <= 5e-8
 
 
 class TestSingularityApproach:
@@ -217,7 +217,7 @@ class TestDenseOutput:
         alone = integrate_ode(problem, config, [t_end])
         dense = integrate_ode(problem, config, [t_end * i / 500 for i in range(500)] + [t_end])
         assert dense.stats == alone.stats
-        assert dense.states[-1].tobytes() == alone.states[0].tobytes()
+        assert np.asarray(dense.states[-1]).tobytes() == np.asarray(alone.states[0]).tobytes()
 
 
 class TestSharedSampler:
@@ -235,7 +235,7 @@ class TestSharedSampler:
         # the last sample lies in the 1e-12 slack past t_end
         sol = integrate_ode(problem, IntegratorConfig(method=method), [0.7, 0.7, 0.7 + 1e-13])
         for row in sol.states:
-            assert row.tobytes() == state0.tobytes()
+            assert np.asarray(row).tobytes() == state0.tobytes()
         assert sol.stats["steps"] == 0
         assert list(sol.stats) == self.STATS_KEYS[method]
 
@@ -256,8 +256,8 @@ class TestSharedSampler:
     def test_sample_at_t0_is_state0(self, method):
         problem = exponential_problem()
         sol = integrate_ode(problem, IntegratorConfig(method=method), [0.0, 0.0, 0.5, 1.0])
-        assert sol.states[0].tobytes() == problem.state0.tobytes()
-        assert sol.states[1].tobytes() == problem.state0.tobytes()
+        assert np.asarray(sol.states[0]).tobytes() == np.asarray(problem.state0).tobytes()
+        assert np.asarray(sol.states[1]).tobytes() == np.asarray(problem.state0).tobytes()
         assert sol.stats["steps"] > 0
         assert list(sol.stats) == self.STATS_KEYS[method]
 

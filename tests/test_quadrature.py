@@ -1,7 +1,10 @@
+import ast
 import math
 import random
 import struct
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +342,27 @@ def test_pairwise_sum_is_numpy_sum(n):
         with np.errstate(over="ignore", invalid="ignore"):
             for view in (data[:n], data[1::2][:n], data[2::3][:n], -np.abs(data[:n]) * 0.0):
                 assert same_bits(quadrature._pairwise_sum(view.tolist()), float(view.sum()))
+
+
+def test_chebyshev_nodes_near_the_float_limit_are_finite():
+    # hi + lo overflows here; the ends are halved before they are added
+    lo, hi = -sys.float_info.max, -1e308
+    nodes = quadrature.chebyshev_nodes(lo, hi)
+    assert all(lo < t < hi for t in nodes)
+
+
+def test_only_quadrature_imports_numpy():
+    # numpy forms the two products per piece whose row sums set the
+    # bits; every other module works on Python floats
+    importers = set()
+    for path in Path(quadrature.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"quadrature.py"}
