@@ -17,26 +17,28 @@ solved in closed form by quadratures:
 with Theta(t) the cumulative integral of b_a from the base point ``a``.
 
 Every quadrature closed form in the package is one formula on one
-integral kernel, :class:`BookIntegrals`: Theta = int b_a, Gamma =
-int b_a / (1 - z c1 e^Theta) and I = int e^Gamma b_b from ``a``, plus the
-validity window 1 - z c1 e^Theta > 0.  The formula is the book solution
-for a deformation z (see :mod:`booksis.deformed`),
+integral kernel, :class:`BookIntegrals`: Theta = int b_a and
+I = int e^Gamma b_b from ``a``, plus the validity window
+L = 1 - z c1 e^Theta > 0.  The formula is the book solution for a
+deformation z (see :mod:`booksis.deformed`),
 
     x(t) = -ln(1 - z c1 e^Theta(t))/z
     y(t) = (c2 + I(t)) e^{-Gamma(t)}
 
-which at z c1 = 0, where Gamma is Theta, is the solution above; the SIS
-closed forms are its image under the chart of :mod:`booksis.sis`.  The
-solutions are initial-value solutions fitted at ``a``, so the kernel runs
-forwards only: a time before ``a`` raises ``ValueError``.  The kernel holds the
-three integrals as piecewise-Chebyshev interpolants on shared pieces (see
+where Gamma = int b_a / L is Theta - ln(L / L(a)), as (Theta - ln L)' =
+b_a + z c1 e^Theta b_a / L = b_a / L.  At z c1 = 0, where Gamma is Theta,
+it is the solution above; the SIS closed forms are its image under the
+chart of :mod:`booksis.sis`.  The solutions are initial-value solutions
+fitted at ``a``, so the kernel runs forwards only: a time before ``a``
+raises ``ValueError``.  The kernel holds the two integrals as
+piecewise-Chebyshev interpolants on shared pieces (see
 :mod:`booksis.quadrature`): on each piece Theta's values at the nodes
-feed Gamma's integrand and Gamma's feed I's, so one sample of each
-coefficient at the piece's nodes replaces the nested adaptive
-quadratures.  This module builds and reads the pieces on floats; numpy
-stays in :mod:`booksis.quadrature`, for the two matrix products per
-piece (samples to coefficients, coefficients to node values) whose row
-sums set the bits.
+give Gamma's and so I's integrand, so one sample of each coefficient at
+the piece's nodes replaces the nested adaptive quadratures.  This module
+builds and reads the pieces on floats; numpy stays in
+:mod:`booksis.quadrature`, for the two matrix products per piece
+(samples to coefficients, coefficients to node values) whose row sums
+set the bits.
 
 Each closed-form evaluator returns a :class:`Jet`: the state together
 with its exact time derivative.  The derivative is the chain rule
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -207,7 +208,7 @@ def exp_checked(arg: float, context: str, t: float | None = None) -> float:
 
 
 _BISECTION_TOL = 1e-10  # resolution of the window edge
-_LOG_MAX = math.log(sys.float_info.max)  # largest argument of a finite exp
+_LN2 = math.log(2.0)
 # pieces end on a + k * _CHUNK, or on a later asked time for z c1 <= 0, or
 # halve a chunk
 _CHUNK = 0.5
@@ -221,7 +222,7 @@ _PIECE_BUDGET = 100_000
 _MIN_WIDTH = 1e-10
 
 # integrals by index
-_THETA, _GAMMA, _FORCED = range(3)
+_THETA, _FORCED = range(2)
 
 
 def _samples(f: Callable[[float], float], nodes: list[float]) -> list[float]:
@@ -251,59 +252,60 @@ def _exp_nodes(values: list[float], nodes: list[float], context: str) -> list[fl
 
 
 class _Piece:
-    """One Chebyshev piece: its nodes, b_a and 1 - z c1 e^Theta there and,
-    per integral, the :func:`~booksis.quadrature.chebyshev_fit` of its
-    antiderivative (None until built, or unused)."""
+    """One Chebyshev piece: its nodes, Theta there and, per integral, the
+    :func:`~booksis.quadrature.chebyshev_fit` of its antiderivative (None
+    until built)."""
 
-    __slots__ = ("nodes", "b_a", "log_argument", "fits")
+    __slots__ = ("nodes", "theta", "fits")
 
-    def __init__(self, nodes: list[float], b_a: list[float], theta_fit):
+    def __init__(self, nodes: list[float], theta: list[float], theta_fit):
         self.nodes = nodes
-        self.b_a = b_a
-        self.log_argument = None
-        self.fits = [theta_fit, None, None]
+        self.theta = theta
+        self.fits = [theta_fit, None]
 
 
 class BookIntegrals:
-    """Theta, Gamma and I from ``a`` as piecewise-Chebyshev interpolants,
-    plus the validity window for ``z_c1`` = z * c1.
+    """Theta and I from ``a`` as piecewise-Chebyshev interpolants, plus
+    the validity window for ``z_c1`` = z * c1.  The kernel holds only
+    these two integrals, and ``tol`` splits 50/50 over them for every
+    z c1.  Gamma is Theta - ln L + ln L(a) with L = 1 - z c1 e^Theta (see
+    the module docstring), Theta at z c1 == 0; ln L is formed from
+    s = Theta + ln|z c1| as ln(1 - e^s) or ln(1 + e^s), so e^Theta never
+    overflows (Maechler, "Accurately computing log(1 - exp(-|a|))", 2012).
 
     The pieces are built lazily, ending as set out below.  On each
-    piece the three integrals share the Chebyshev nodes: b_a sampled there
-    gives Theta's series, Theta's values there give Gamma's integrand
-    b_a / (1 - z c1 e^Theta), and Gamma's give I's, e^Gamma b_b, so no
-    integral is nested in another.  A piece is split when a series does
-    not converge (see :mod:`booksis.quadrature`): the truncation error of
-    each piece's integral stays below the integral's share of ``tol``, or
-    at round-off; no piece is split below 1e-10 of its time.  At
-    the ends of the pieces the values are cumulative sums of the pieces'
-    integrals; inside a piece they are Clenshaw sums.  The pieces grow
-    forwards from ``a``: a time before it, or one that is not finite,
-    raises ``ValueError``.
+    piece the integrals share the Chebyshev nodes: b_a sampled there
+    gives Theta's series, and Theta's values there give Gamma and so I's
+    integrand e^Gamma b_b, so no integral is nested in another.  A piece
+    is split when a series does not converge (see
+    :mod:`booksis.quadrature`): the truncation error of each piece's
+    integral stays below its half of ``tol``, or at round-off; no piece
+    is split below 1e-10 of its time.  At the ends of the pieces the
+    values are cumulative sums of the pieces' integrals; inside a piece
+    they are Clenshaw sums.  The pieces grow forwards from ``a``: a time
+    before it, or one that is not finite, raises ``ValueError``.
 
     For z c1 > 0 a piece ends on the next grid point a + k/2, so the values
     depend only on t.  For z c1 <= 0 it ends on the later of that grid
     point and the time asked for: a cold query at t = 3, the classical
     forms' common case, is one piece, and a sweep builds one piece per
     chunk and reads the times inside it by Clenshaw sums.  Either piece is
-    halved until Theta, Gamma and I converge.  One rule handles a failed
+    halved until Theta and I converge.  One rule handles a failed
     piece: where b_a cannot be sampled, or I's integrand e^Gamma b_b
     cannot be formed past the time asked for, the piece ends earlier --
     halved on the grid, cut at that time otherwise -- and a piece that
     cannot end earlier raises the failure.  A failure of I's integrand at
     or before the time asked for raises at once, as I is not defined there.
 
-    At z c1 == 0 the Gamma integrand is b_a, so ``gamma`` is ``theta`` and
-    ``tol`` splits 50/50 over Theta and I; otherwise it splits 50/25/25
-    over Theta, Gamma and I.
-
-    The window [a, t_max) ends where 1 - z c1 e^Theta first reaches 0: each
-    Theta piece is tested at its nodes and its end as it is built, and the
-    first edge shown is bisected to 1e-10.  Building stops once a piece
-    reaches the time asked for or shows the edge, which a rebuilt piece
-    moves only to show it more than 1e-10 earlier; a value at or
-    past t_max raises :class:`ValidityWindowError` naming it.  For z c1 <= 0
-    the window never ends.  Not safe for unsynchronized shared use.
+    The window [a, t_max) ends where Theta first reaches the edge level
+    ln(1/(z c1)), where L = 0: each Theta piece is tested, as
+    Theta + ln(z c1) >= 0, at its nodes and its end as it is built, and
+    the first edge shown is bisected to 1e-10.  Building stops once a
+    piece reaches the time asked for or shows the edge, which a rebuilt
+    piece moves only to show it more than 1e-10 earlier; a value at or
+    past t_max raises :class:`ValidityWindowError` naming it.  For
+    z c1 <= 0 the window never ends; for z c1 >= 1 it is empty.  Not safe
+    for unsynchronized shared use.
 
     ``b_a`` and ``b_b`` are kept for the closed forms' jets: Theta' = b_a,
     Gamma' = b_a / L and I' = e^Gamma b_b.
@@ -316,22 +318,20 @@ class BookIntegrals:
         self.b_b = b_b
         self.a = a
         self.z_c1 = z_c1
-        if z_c1 == 0.0:
-            self._gamma = _THETA
-            self._tols = (0.5 * tol, 0.0, 0.5 * tol)
-        else:
-            self._gamma = _GAMMA
-            self._tols = (0.5 * tol, 0.25 * tol, 0.25 * tol)
+        self._tol = 0.5 * tol
         # piece j lies between _ends[j] and _ends[j + 1]; _values[i] holds
         # integral i at the ends, each the previous one plus a piece's
-        # integral.  Theta's run to the last end; Gamma's and I's to
-        # _ends[_done], as the first _done pieces carry all three.
+        # integral.  Theta's run to the last end; I's to _ends[_done], as
+        # the first _done pieces carry both.
         self._ends = [a]
         self._pieces: list[_Piece] = []
-        self._values = [[0.0], [0.0], [0.0]]
+        self._values = [[0.0], [0.0]]
         self._done = 0
-        # Theta(a) == 0, so 1 - z c1 e^Theta(a) <= 0 exactly when z c1 >= 1
+        # Theta(a) == 0, so L(a) <= 0, and ln L(a) undefined, exactly when
+        # z c1 >= 1
         self.t_max = a if z_c1 >= 1.0 else math.inf
+        self._log_zc1 = math.log(abs(z_c1)) if z_c1 != 0.0 else -math.inf
+        self._log_l0 = self._log_l(0.0) if z_c1 < 1.0 else math.nan
 
     # -- values -------------------------------------------------------------
 
@@ -342,31 +342,39 @@ class BookIntegrals:
             raise ValidityWindowError(t, self.t_max)
         if t > self._ends[self._done]:
             self._complete(t)
-        if self._gamma == _THETA:
-            theta, forced = self._read(t, (_THETA, _FORCED))
-            return theta, theta, forced
-        theta, gamma, forced = self._read(t, (_THETA, _GAMMA, _FORCED))
-        return theta, gamma, forced
+        theta, forced = self._read(t, (_THETA, _FORCED))
+        if self._past_edge(theta):  # t lies within the bisection's 1e-10 of t_max
+            raise ValidityWindowError(t, t)
+        return theta, self._gamma(theta), forced
 
     def theta(self, t: float) -> float:
         """Theta(t) = int_a^t b_a."""
         return self.integrals(t)[0]
 
     def gamma(self, t: float) -> float:
-        """Gamma(t) = int_a^t b_a / (1 - z c1 e^Theta)."""
+        """Gamma(t) = int_a^t b_a / L = Theta(t) - ln L(t) + ln L(a)."""
         return self.integrals(t)[1]
 
     def forced(self, t: float) -> float:
         """I(t) = int_a^t e^Gamma b_b."""
         return self.integrals(t)[2]
 
-    def _log_argument(self, theta: float) -> float:
-        # capped, e^Theta stays finite and keeps the sign for any normal z c1;
-        # a subnormal one reaches the edge only past the cap, so there the
-        # product is formed as e^(Theta + ln z c1)
-        if theta > _LOG_MAX and self.z_c1 > 0.0:
-            return -math.expm1(min(theta + math.log(self.z_c1), _LOG_MAX))
-        return 1.0 - self.z_c1 * math.exp(min(theta, _LOG_MAX))
+    def _past_edge(self, theta: float) -> bool:
+        """Whether L = 1 - z c1 e^Theta <= 0: Theta + ln(z c1) >= 0."""
+        return self.z_c1 > 0.0 and theta + self._log_zc1 >= 0.0
+
+    def _log_l(self, theta: float) -> float:
+        """ln L from s = Theta + ln|z c1|, for Theta inside the window."""
+        s = theta + self._log_zc1
+        if self.z_c1 > 0.0:  # ln(1 - e^s), s < 0
+            return math.log(-math.expm1(s)) if s > -_LN2 else math.log1p(-math.exp(s))
+        return s + math.log1p(math.exp(-s)) if s > 0.0 else math.log1p(math.exp(s))
+
+    def _gamma(self, theta: float) -> float:
+        """Gamma = Theta - ln L + ln L(a), for Theta inside the window."""
+        if self.z_c1 == 0.0:
+            return theta
+        return theta - self._log_l(theta) + self._log_l0
 
     def _read(self, t: float, which: tuple[int, ...]) -> list[float]:
         """The integrals ``which`` at ``t``, which a piece that carries them
@@ -402,15 +410,17 @@ class BookIntegrals:
                 error = error or exc
                 hi = self._retreat(lo, hi, t, "Theta", error)
                 continue
-            fit = chebyshev_fit(b_a, 0.5 * (hi - lo), self._tols[_THETA])
+            fit = chebyshev_fit(b_a, 0.5 * (hi - lo), self._tol)
             if fit is None:
                 hi = _midpoint(lo, hi, "Theta", error)
                 continue
-            self._pieces.append(_Piece(nodes, b_a, fit))
-            self._ends.append(hi)
             theta = self._values[_THETA]
-            theta.append(theta[-1] + fit[1])
-            if self._gamma == _GAMMA:
+            start = theta[-1]
+            self._pieces.append(_Piece(
+                nodes, [start + v for v in chebyshev_at_nodes(fit[0])], fit))
+            self._ends.append(hi)
+            theta.append(start + fit[1])
+            if self.z_c1 > 0.0:
                 self._find_edge(lo, hi)
             hi = error = None
 
@@ -422,11 +432,10 @@ class BookIntegrals:
                                     math.nextafter(lo, math.inf)) if end > lo)
 
     def _complete(self, t: float) -> None:
-        """Gamma and I on every piece up to ``t``.  A piece on which one of
-        them does not converge or that holds the window edge is rebuilt as
-        its first half, and one on which I's integrand fails past ``t``
-        where :meth:`_retreat` ends it.  Later pieces are rebuilt as
-        needed."""
+        """I on every piece up to ``t``.  A piece on which it does not
+        converge or that holds the window edge is rebuilt as its first
+        half, and one on which I's integrand fails past ``t`` where
+        :meth:`_retreat` ends it.  Later pieces are rebuilt as needed."""
         splits = 0
         while t > self._ends[self._done]:
             if self._done == len(self._pieces):
@@ -440,31 +449,21 @@ class BookIntegrals:
             splits += 1
             if splits > _PIECE_BUDGET:
                 raise QuadratureConvergenceError(
-                    f"Gamma and I need more than {_PIECE_BUDGET} splits",
+                    f"I needs more than {_PIECE_BUDGET} splits",
                     (self._ends[j], self._ends[j + 1]))
             del self._pieces[j:], self._ends[j + 1:], self._values[_THETA][j + 1:]
             self._extend(cut, cut)
 
     def _fit_rest(self, j: int, t: float) -> float | None:
-        """Fit Gamma and I on piece j, whose predecessors carry them, for
-        a value at ``t``.  Returns None when done, else the time at which
-        to cut the piece."""
+        """Fit I on piece j, whose predecessors carry it, for a value at
+        ``t``.  Returns None when done, else the time at which to cut the
+        piece."""
         piece = self._pieces[j]
         nodes = piece.nodes
         lo, hi = self._ends[j], self._ends[j + 1]
-        half = 0.5 * (hi - lo)
-        if self._gamma == _GAMMA:
-            if any(v <= 0.0 for v in piece.log_argument):  # the piece holds the window edge
-                return _midpoint(lo, hi, "Gamma")
-            integrand = _finite([b / v for b, v in zip(piece.b_a, piece.log_argument)],
-                                nodes)
-            fit = chebyshev_fit(integrand, half, self._tols[_GAMMA])
-            if fit is None:
-                return _midpoint(lo, hi, "Gamma")
-            piece.fits[_GAMMA] = fit
-        # Gamma, which is Theta at z c1 == 0
-        start = self._values[self._gamma][j]
-        exponent = [start + v for v in chebyshev_at_nodes(piece.fits[self._gamma][0])]
+        if self._past_edge(max(piece.theta)):  # the piece holds the window edge
+            return _midpoint(lo, hi, "I")
+        exponent = [self._gamma(v) for v in piece.theta]
         # a failure at or before t leaves I(t) undefined
         past = bisect.bisect_right(nodes, t)
         integrand = self._forced_integrand(exponent[:past], nodes[:past])
@@ -472,14 +471,12 @@ class BookIntegrals:
             integrand += self._forced_integrand(exponent[past:], nodes[past:])
         except BooksisError as exc:
             return self._retreat(lo, hi, t, "I", exc)
-        fit = chebyshev_fit(integrand, half, self._tols[_FORCED])
+        fit = chebyshev_fit(integrand, 0.5 * (hi - lo), self._tol)
         if fit is None:
             return _midpoint(lo, hi, "I")
         piece.fits[_FORCED] = fit
-        for which in (_GAMMA, _FORCED):
-            if piece.fits[which] is not None:  # no Gamma of its own at z c1 == 0
-                values = self._values[which]
-                values.append(values[j] + piece.fits[which][1])
+        forced = self._values[_FORCED]
+        forced.append(forced[j] + fit[1])
         self._done += 1
         return None
 
@@ -515,29 +512,26 @@ class BookIntegrals:
         return self.t_max if self.t_max <= t else math.inf
 
     def _find_edge(self, lo: float, hi: float) -> None:
-        """Keep 1 - z c1 e^Theta at the newest piece's nodes, for Gamma.  Where a
-        node, or hi, shows it <= 0 more than 1e-10 before t_max, bisect the new t_max."""
-        piece, theta = self._pieces[-1], self._values[_THETA]
-        start = theta[-2]
-        piece.log_argument = [self._log_argument(start + v)
-                              for v in chebyshev_at_nodes(piece.fits[_THETA][0])]
+        """Where a node of the newest piece, or hi, shows the edge more than
+        1e-10 before t_max, bisect the new t_max."""
+        piece = self._pieces[-1]
         points = [lo, *piece.nodes, hi]
-        for i, v in enumerate([*piece.log_argument, self._log_argument(theta[-1])]):
-            if v <= 0.0:
+        for i, v in enumerate([*piece.theta, self._values[_THETA][-1]]):
+            if self._past_edge(v):
                 if points[i + 1] < self.t_max - _BISECTION_TOL:
                     self.t_max = self._bisect(points[i], points[i + 1])
                 return
 
     def _bisect(self, lo: float, hi: float) -> float:
-        # 1 - z c1 e^Theta is > 0 at lo and <= 0 at hi; first zero to _BISECTION_TOL
+        # Theta + ln(z c1) is < 0 at lo and >= 0 at hi; first zero to _BISECTION_TOL
         while hi - lo > _BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             if mid <= lo or mid >= hi:
                 break
-            if self._log_argument(self._read(mid, (_THETA,))[0]) > 0.0:
-                lo = mid
-            else:
+            if self._past_edge(self._read(mid, (_THETA,))[0]):
                 hi = mid
+            else:
+                lo = mid
         return 0.5 * (lo + hi)
 
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import random
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import booksis
+from booksis import canonical
 from booksis.canonical import (
     BookIntegrals,
     BookSystem,
@@ -44,6 +46,7 @@ from booksis.deformed import (
 from booksis.errors import (
     BooksisError,
     EvaluationDomainError,
+    ExpOverflowError,
     SingularLocusError,
     ValidityWindowError,
 )
@@ -390,8 +393,8 @@ class TestIntegralKernel:
                 assert abs(integral(t) - integrate(integrand, 0.0, t, 1e-13)) <= tol
 
     @staticmethod
-    def counted_kernel(monkeypatch):
-        """A z c1 = 0 kernel and the list of coefficients its samples called."""
+    def counted_kernel(monkeypatch, z_c1=0.0):
+        """A kernel and the list of coefficients its samples called."""
         calls = []
         call = CF.__call__
 
@@ -402,7 +405,7 @@ class TestIntegralKernel:
         monkeypatch.setattr(CF, "__call__", counting)
         b_a = CF.from_text("0.5 + 0.3*sin(t)")
         b_b = CF.from_text("0.5 + 0.2*cos(2*t)")
-        return BookIntegrals(b_a, b_b, 0.0, 1e-10, 0.0), calls
+        return BookIntegrals(b_a, b_b, 0.0, 1e-10, z_c1), calls
 
     def test_every_sample_goes_through_call(self, monkeypatch):
         # the kernel samples a coefficient only through f(t), the one
@@ -420,6 +423,30 @@ class TestIntegralKernel:
             k.forced(float(t))
         assert sum(f is k.b_a for f in calls) == 8 * CHEBYSHEV_NODES
         assert sum(f is k.b_b for f in calls) == 8 * CHEBYSHEV_NODES
+
+    @pytest.mark.parametrize("z_c1", [0.1, -0.4])
+    def test_deformed_sweep_fits_two_integrals_per_piece(self, monkeypatch, z_c1):
+        # Gamma is formed from Theta, so each piece fits Theta and I only,
+        # and forms Theta at its nodes once, for the window test and for I;
+        # 61 times on [0, 3] lie inside the window (0.1: t_max = 3.43)
+        calls = {"fit": 0, "nodes": 0}
+
+        def counting(key, f):
+            def counted(*args):
+                calls[key] += 1
+                return f(*args)
+            return counted
+
+        monkeypatch.setattr(canonical, "chebyshev_fit",
+                            counting("fit", canonical.chebyshev_fit))
+        monkeypatch.setattr(canonical, "chebyshev_at_nodes",
+                            counting("nodes", canonical.chebyshev_at_nodes))
+        k, samples = self.counted_kernel(monkeypatch, z_c1)
+        for t in np.linspace(0.0, 3.0, 61):
+            k.forced(float(t))
+        pieces = sum(f is k.b_a for f in samples) // CHEBYSHEV_NODES
+        assert pieces == 6
+        assert calls == {"fit": 2 * pieces, "nodes": pieces}
 
     def test_cold_classical_query_is_one_piece(self, monkeypatch):
         k, calls = self.counted_kernel(monkeypatch)
@@ -523,7 +550,7 @@ class TestIntegralKernel:
         assert b_b.calls <= 4 * CHEBYSHEV_NODES
         # a failure past the asked time still halves the chunk: 1.79
         # evaluates, with the bits it had when every failure halved
-        assert k.integrals(1.79) == (0.895, 0.957200624569276, -1.85251305164234)
+        assert k.integrals(1.79) == (0.895, 0.9572006245692761, -1.85251305164234)
 
     def test_grid_integrand_failure_past_the_asked_time_halves(self):
         # e^Gamma b_b = e^{10 t} 1e300 e^{50 (t - 1.3)} is not finite at
@@ -616,8 +643,8 @@ class TestIntegralKernel:
 
     @pytest.mark.parametrize("distance", [1e-4, 1e-6])
     def test_evaluates_close_to_the_window_edge(self, distance):
-        # near the edge the Gamma integrand b_a / L carries the rounding of
-        # L = 1 - z c1 e^Theta, amplified by 1/L^2; its pieces converge on
+        # near the edge I's integrand e^Gamma b_b grows as 1/L and carries
+        # the rounding of L = 1 - z c1 e^Theta; its pieces converge on
         # their integral's error, as narrow Kronrod panels did
         sysd = DeformedBookSystem(
             BookSystem(CF.from_text("1 + 0.2*sin(3*t)"), CF.constant(1.0)), 1.0)
@@ -628,6 +655,68 @@ class TestIntegralKernel:
         theta = t + 0.2 / 3.0 * (1.0 - math.cos(3.0 * t))
         assert state.x == pytest.approx(-math.log(1.0 - c.c1 * math.exp(theta)), rel=1e-8)
         assert math.isfinite(state.y)
+
+    @pytest.mark.parametrize("z_c1, b_a, b_b, t", [
+        (5e-324, 350.0, 1.0, 2.0),
+        (1e-300, 340.0, 1.0, 2.0),
+        (0.3, 1.0, 1.0, 1.0),
+        # Theta within 1e-12 of the level -ln(z c1); b_b = 0 keeps I
+        # finite next to the pole of e^Gamma
+        (0.3, -math.log(0.3) - 1e-12, 0.0, 1.0),
+        (1e-280, -math.log(1e-280) - 1e-12, 0.0, 1.0),
+        (-0.7, 1.0, 1.0, 3.0),
+        # Theta = 800: e^Theta overflows, and Gamma tends to ln 3
+        (-0.5, 400.0, 1.0, 2.0),
+    ])
+    def test_gamma_matches_a_decimal_reference(self, z_c1, b_a, b_b, t):
+        # Gamma = Theta - ln L + ln L(a), L = 1 - z c1 e^Theta, in 40 digits
+        # from the kernel's own Theta and from ln|z c1| rounded to a float,
+        # the two inputs of ln L; the bound is that rounding of s = Theta +
+        # ln|z c1| times the condition number e^s / L, plus a few roundings
+        k = BookIntegrals(CF.constant(b_a), CF.constant(b_b), 0.0, 1e-10, z_c1)
+        theta, gamma, forced = k.integrals(t)
+        decimal.getcontext().prec = 40
+        log_zc1 = decimal.Decimal(math.log(abs(z_c1)))
+
+        def log_l(s):
+            return (1 - s.exp() if z_c1 > 0.0 else 1 + s.exp()).ln()
+
+        s = decimal.Decimal(theta) + log_zc1
+        reference = decimal.Decimal(theta) - log_l(s) + log_l(log_zc1)
+        condition = float(abs(s.exp() / log_l(s).exp()))
+        bound = condition * math.ulp(float(s)) + 8.0 * sys.float_info.epsilon * (
+            abs(theta) + abs(float(log_l(s))) + abs(float(log_l(log_zc1))))
+        assert abs(float(decimal.Decimal(gamma) - reference)) <= bound
+        assert math.isfinite(forced)
+        if z_c1 == -0.5:
+            assert gamma == pytest.approx(math.log(3.0), abs=1e-12)
+
+    def test_gamma_past_the_float_range_raises_typed(self):
+        # next to the level 744.44 of the subnormal z c1, e^Gamma overflows
+        # in I's integrand: a typed error, not a raw OverflowError
+        level = -math.log(5e-324)
+        k = BookIntegrals(CF.constant(level - 1e-12), CF.constant(0.0), 0.0, 1e-10, 5e-324)
+        with pytest.raises(ExpOverflowError):
+            k.gamma(1.0)
+        assert k.window_end(2.0) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("z_c1", [1.0, 2.0])
+    def test_window_is_empty_from_z_c1_one(self, z_c1):
+        # L(a) = 1 - z c1 <= 0: the window closes at the base point, and
+        # every evaluator raises there and later
+        b_a, b_b = CF.constant(1.0), CF.constant(1.0)
+        sysd = DeformedBookSystem(BookSystem(b_a, b_b), 1.0)
+        assert validity_window(sysd, z_c1, 3.0).t_max == 0.0
+        c = IntegrationConstants(z_c1, 1.0)
+        kernel = BookIntegrals(b_a, b_b, 0.0, 1e-10, z_c1)
+        for evaluate in (deformed_solution_evaluator(sysd, c),
+                         deformed_sis_solution_evaluator(
+                             DeformedSisSystem(SisSystem(b_a, b_b), 1.0), c),
+                         kernel.theta, kernel.gamma, kernel.forced):
+            for t in (0.0, 1.0):
+                with pytest.raises(ValidityWindowError) as err:
+                    evaluate(t)
+                assert err.value.t_max == 0.0
 
     def test_missed_narrow_excursion_raises_instead_of_integrating(self):
         # a pulse 0.003 wide, narrower than a 0.02 sampling step: Theta's
