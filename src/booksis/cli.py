@@ -394,7 +394,8 @@ class Model:
     def validity_t_max(self, horizon: float) -> float:
         if not self.spec.deformed:
             return math.inf
-        return deformed.validity_window(self.book, self.constants.c1, horizon).t_max
+        return deformed.validity_window(self.book, self.constants.c1, horizon,
+                                        self.scenario.quadrature_tol).t_max
 
 
 def build_adapter(scenario: Scenario) -> Model:
@@ -483,7 +484,8 @@ def run_scenario(
     exact_states: list[tuple[float, float]] = []
     exact_rates: list[tuple[float, float]] = []
     evaluated_times: list[float] = []
-    # the sweep stops at the first failure it meets, which is the one reported
+    # the sweep stops at the first failure it meets; an oracle that stops
+    # early stops before it, and its failure is the one reported
     for t in grid:
         if t >= t_max:
             domain_exit = {"first_failing_t": t,
@@ -520,9 +522,8 @@ def run_scenario(
             # a failed pass places none at its end, the last evaluated time
             solution = exc.solution
             kept = bisect.bisect_right(solution.times, exc.last_time)
-            if domain_exit is None:
-                domain_exit = {"first_failing_t": evaluated_times[kept],
-                               "reason": f"numerical integration stopped: {exc}"}
+            domain_exit = {"first_failing_t": evaluated_times[kept],
+                           "reason": f"numerical integration stopped: {exc}"}
             evaluated_times = evaluated_times[:kept]
         numeric_states, solver_stats = solution.states, solution.stats
 

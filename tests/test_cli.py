@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from booksis import oracle, sis
-from booksis.canonical import IntegrationConstants
+from booksis.canonical import BookIntegrals, IntegrationConstants
 from booksis.cli import (
     _residual,
     _sample_times,
@@ -510,6 +510,19 @@ class TestMainEntryPoint:
         assert report["samples_evaluated"] == 0
         assert (out / "scen.csv").read_text() == "t,q,p,x,y,deviation,residual,physical\n"
 
+    def test_run_reports_the_oracles_earlier_failure(self, tmp_path):
+        # the oracle fails at t = 0, before the sweep fails at t = 0.25
+        # ("closed-form state (nan, -inf) is not finite"): the earlier
+        # failure is the domain exit
+        path = write_scenario(
+            tmp_path, model="sis", coefficients={"rho0": "1", "b": "1"},
+            initial={"chart": "qp", "values": [0.5, 1e-200]},
+            grid={"t_start": 0.0, "t_end": 1.0, "n_samples": 5})
+        _, report, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert report["domain_exit"]["first_failing_t"] == 0.0
+        assert report["domain_exit"]["reason"].startswith("numerical integration stopped")
+
     def test_run_catches_wrong_integration_constants(self, monkeypatch):
         # a constant-rate closed form with the sign of c2 * rho0 flipped:
         # the oracle starts from the scenario's initial values, not from
@@ -610,6 +623,26 @@ class TestMainEntryPoint:
         assert metadata["validity_t_max"] == pytest.approx(edge, abs=1e-9)
         reason = metadata["domain_exit"]["reason"]
         assert _last_number(reason) == pytest.approx(edge, abs=1e-9)
+
+    def test_window_edge_at_the_scenarios_quadrature_tolerance(self, tmp_path, capsys):
+        # at tolerances.quadrature = 1e-4 the edge moves by 6e-11 from its
+        # place at the default 1e-10: window and run name the edge of a
+        # kernel at the scenario's tolerance, as the sweep's kernel does
+        doc = deformed_book_doc(z=1.0, n=3001)
+        doc["coefficients"] = {"bA": "1 + 0.9*sin(40*t)", "bB": "1"}
+        doc["initial"]["values"] = [0.2, 1.0]
+        doc["tolerances"] = {"quadrature": 1e-4}
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(doc))
+        adapter = build_adapter(load_scenario(path))
+        kernel = BookIntegrals(adapter.book.base.b_a, adapter.book.base.b_b, 0.0, 1e-4,
+                               adapter.constants.c1)
+        edge = kernel.window_end(3.0)
+        assert main(["window", str(path)]) == EXIT_PASS
+        assert capsys.readouterr().out == f"t_max={edge!r}\n"
+        _, metadata, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert metadata["validity_t_max"] == edge
 
     @pytest.mark.parametrize("name", ["window_exit", "narrow_pulse"])
     def test_every_verb_names_one_edge(self, name, capsys):
