@@ -675,18 +675,18 @@ class TestIntegralKernel:
         # ln|z c1| times the condition number e^s / L, plus a few roundings
         k = BookIntegrals(CF.constant(b_a), CF.constant(b_b), 0.0, 1e-10, z_c1)
         theta, gamma, forced = k.integrals(t)
-        decimal.getcontext().prec = 40
-        log_zc1 = decimal.Decimal(math.log(abs(z_c1)))
+        D = decimal.Decimal
 
         def log_l(s):
             return (1 - s.exp() if z_c1 > 0.0 else 1 + s.exp()).ln()
 
-        s = decimal.Decimal(theta) + log_zc1
-        reference = decimal.Decimal(theta) - log_l(s) + log_l(log_zc1)
-        condition = float(abs(s.exp() / log_l(s).exp()))
-        bound = condition * math.ulp(float(s)) + 8.0 * sys.float_info.epsilon * (
-            abs(theta) + abs(float(log_l(s))) + abs(float(log_l(log_zc1))))
-        assert abs(float(decimal.Decimal(gamma) - reference)) <= bound
+        with decimal.localcontext(decimal.Context(prec=40)):
+            log_zc1 = D(math.log(abs(z_c1)))
+            s = D(theta) + log_zc1
+            error = abs(float(D(gamma) - (D(theta) - log_l(s) + log_l(log_zc1))))
+            condition = float(abs(s.exp() / log_l(s).exp()))
+            rounded = abs(theta) + abs(float(log_l(s))) + abs(float(log_l(log_zc1)))
+        assert error <= condition * math.ulp(float(s)) + 8.0 * sys.float_info.epsilon * rounded
         assert math.isfinite(forced)
         if z_c1 == -0.5:
             assert gamma == pytest.approx(math.log(3.0), abs=1e-12)
@@ -699,6 +699,18 @@ class TestIntegralKernel:
         with pytest.raises(ExpOverflowError):
             k.gamma(1.0)
         assert k.window_end(2.0) == pytest.approx(1.0, abs=1e-9)
+
+    def test_read_past_the_level_before_t_max_raises_typed(self):
+        # t_max is the midpoint of the bisection's last bracket, so Theta
+        # on the interpolant can reach the level just before it; ln L is
+        # undefined there, and the read raises naming t, not ValueError
+        k = BookIntegrals(CF.from_text("2 + sin(3*t)"), CF.constant(0.0), 0.0, 1e-10,
+                          math.exp(-1.845399184658766))
+        t_max = k.window_end(10.0)
+        t = t_max - 1e-11
+        with pytest.raises(ValidityWindowError) as err:
+            k.gamma(t)
+        assert (err.value.t, err.value.t_max) == (t, t)
 
     @pytest.mark.parametrize("z_c1", [1.0, 2.0])
     def test_window_is_empty_from_z_c1_one(self, z_c1):
