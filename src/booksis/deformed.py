@@ -17,12 +17,12 @@ The closed-form solution
     x(t) = -ln(1 - z c1 e^{Theta(t)}) / z
     y(t) = e^{-Gamma(t)} (c2 + int_a^t e^{Gamma(u)} b_b(u) du)
 
-with Theta the cumulative integral of b_a and
-Gamma(t) = int_a^t b_a(u) / (1 - z c1 e^{Theta(u)}) du, only exists
-while the logarithm argument stays positive.  The supremum of valid
-times is tracked as a :class:`ValidityWindow` and every evaluation is
-guarded: leaving the window raises rather than producing complex or
-infinite values.
+with Theta the cumulative integral of b_a and, for L = 1 - z c1 e^Theta,
+Gamma(t) = int_a^t b_a / L = Theta(t) - ln(L(t) / L(a)), as
+(Theta - ln L)' = b_a / L, only exists while L stays positive, that is
+until Theta reaches ln(1/(z c1)).  The supremum of valid times is tracked
+as a :class:`ValidityWindow` and every evaluation is guarded: leaving
+the window raises rather than producing complex or infinite values.
 
 The closed form is :mod:`booksis.canonical`'s one book closed form, of
 which the classical solution is the case z = 0, and the deformed SIS
