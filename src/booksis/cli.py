@@ -375,7 +375,14 @@ class Model:
         return jet
 
     def rhs(self, t: float, state: tuple[float, float]) -> tuple[float, float]:
-        return self.spec.rhs(self, t, self.chart.state(*state))
+        """The model's right-hand side at a chart state tuple.  A
+        non-finite state, such as an oracle trial state past a blow-up,
+        raises :class:`NonFiniteSampleError`, which the oracle may recover
+        from by shrinking its step."""
+        u, v = state
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise NonFiniteSampleError(f"non-finite trial state at t={t!r}")
+        return self.spec.rhs(self, t, self.chart.state(u, v))
 
     def companion(self, state: tuple[float, float]) -> tuple[float, float] | None:
         try:
@@ -505,15 +512,9 @@ def run_scenario(
         # no step cap: the adaptive method samples with its own 4th-order
         # continuous extension, so its error control alone sets the steps
         config = oracle.IntegratorConfig(method=method)
-
-        def vector_rhs(tv: float, v: tuple[float, float]) -> tuple[float, float]:
-            if not (math.isfinite(v[0]) and math.isfinite(v[1])):
-                raise NonFiniteSampleError(f"non-finite trial state at t={tv!r}")
-            return adapter.rhs(tv, v)
-
         # the scenario's own initial values, so that a closed form with
         # wrong integration constants shows as a deviation
-        problem = oracle.OdeProblem(rhs=vector_rhs, t0=scenario.t_start,
+        problem = oracle.OdeProblem(rhs=adapter.rhs, t0=scenario.t_start,
                                     state0=scenario.initial, t_end=evaluated_times[-1])
         try:
             solution = oracle.integrate_ode(problem, config, evaluated_times)

@@ -166,6 +166,9 @@ class OdeSolution:
 
 
 def _finite(v) -> bool:
+    if len(v) == 2:
+        a, b = v
+        return math.isfinite(a) and math.isfinite(b)
     return all(map(math.isfinite, v))
 
 
@@ -181,7 +184,22 @@ def _rms(v) -> float:
 
 def _combine(y: tuple, h: float, terms, k) -> tuple:
     """y + (h*w)*k[j] for the (j, w) pairs of ``terms``, added in that
-    order component by component."""
+    order component by component.  A two-component state takes an
+    unrolled path with the same operations in the same order, so both
+    paths give the same bits."""
+    if len(y) == 2:
+        a, b = y
+        for j, w in terms:
+            c = h * w
+            kj = k[j]
+            a += c * kj[0]
+            b += c * kj[1]
+        return (a, b)
+    return _combine_loop(y, h, terms, k)
+
+
+def _combine_loop(y: tuple, h: float, terms, k) -> tuple:
+    """:func:`_combine` for a state of any dimension."""
     scaled = [(h * w, k[j]) for j, w in terms]
     out = []
     for d, acc in enumerate(y):
@@ -210,7 +228,27 @@ def _dense_coefficients(h: float, k) -> list:
     """Per component d, the coefficients (c0, c1, c2, c3) of the
     continuous extension over a step of size h with stages ``k``:
     c_m = h * sum_j P[j][m] * k[j][d], summed over the nonzero P[j][m] in
-    stage order."""
+    stage order.  Two-component stages take an unrolled path with the
+    same operations in the same order."""
+    if len(k[0]) == 2:
+        cs0 = []
+        cs1 = []
+        for (j0, w0), *rest in _DP_P_TERMS:
+            kj = k[j0]
+            a = w0 * kj[0]
+            b = w0 * kj[1]
+            for j, w in rest:
+                kj = k[j]
+                a += w * kj[0]
+                b += w * kj[1]
+            cs0.append(h * a)
+            cs1.append(h * b)
+        return [cs0, cs1]
+    return _dense_coefficients_loop(h, k)
+
+
+def _dense_coefficients_loop(h: float, k) -> list:
+    """:func:`_dense_coefficients` for stages of any dimension."""
     out = []
     for d in range(len(k[0])):
         cs = []
@@ -272,10 +310,11 @@ def integrate_ode(
     else:
         stepper, stats = _integrate_adaptive, {"steps": 0, "rejected": 0, "rhs_evals": 0}
     dim = len(problem.state0)
+    rhs = problem.rhs
 
     def eval_rhs(t: float, y: tuple) -> tuple:
         stats["rhs_evals"] += 1
-        f = tuple(map(float, problem.rhs(t, y)))
+        f = tuple(map(float, rhs(t, y)))
         if len(f) != dim:
             raise ValueError(f"rhs returned dimension {len(f)}, expected {dim}")
         return f
@@ -382,16 +421,16 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
     if t_end == t:
         return
 
-    h = _initial_step(t, y, f, t_end, config.rtol, config.atol)
+    atol, rtol = config.atol, config.rtol
+    max_steps, max_step = config.max_steps, config.max_step
+    h = _initial_step(t, y, f, t_end, rtol, atol)
     h = max(h, 16.0 * math.ulp(max(abs(t), 1.0)))
     zero = (0.0,) * dim
 
     while t < t_end:
-        if stats["steps"] + stats["rejected"] >= config.max_steps:
-            raise StepLimitError(
-                f"max_steps={config.max_steps} exceeded", t
-            )
-        h = min(h, t_end - t, config.max_step)
+        if stats["steps"] + stats["rejected"] >= max_steps:
+            raise StepLimitError(f"max_steps={max_steps} exceeded", t)
+        h = min(h, t_end - t, max_step)
         h_min = 16.0 * math.ulp(max(abs(t), 1.0))
         # a step that lands on t_end may be shorter than h_min; one that
         # rejections shrank below it means the solution is blowing up
@@ -420,7 +459,7 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         # inf - inf); the larger magnitude is then NaN and so is err, which
         # the builtin max would hide
         err = _rms([
-            e / (config.atol + config.rtol * (abs(a) if abs(a) >= abs(b) else abs(b)))
+            e / (atol + rtol * (abs(a) if abs(a) >= abs(b) else abs(b)))
             for e, a, b in zip(err_vec, y, y_new)
         ])
 

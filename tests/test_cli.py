@@ -29,7 +29,7 @@ from booksis.cli import (
     run_scenario,
     Scenario,
 )
-from booksis.errors import BooksisError, ScenarioError
+from booksis.errors import BooksisError, NonFiniteSampleError, ScenarioError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -318,6 +318,21 @@ class TestResidual:
             state, rate = evaluate(t)
             assert _residual(closed_form, t, state, rate) <= 1e-12
             assert _residual(other, t, state, rate) >= 0.1
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("model, fixed, key, pair, chart, values, z", TEETH,
+                             ids=[case[0] for case in TEETH])
+    def test_rhs_rejects_a_non_finite_state(self, model, fixed, key, pair, chart,
+                                            values, z, bad):
+        # the oracle's trial state past a blow-up must give a typed error
+        # it can recover from, not the state dataclass's ValueError
+        adapter = build_adapter(parse_scenario({
+            "model": model, "coefficients": {**fixed, key: pair[0]}, "z": z,
+            "initial": {"chart": chart, "values": values},
+            "grid": {"t_start": 0.0, "t_end": 1.5, "n_samples": 7},
+        }))
+        with pytest.raises(NonFiniteSampleError, match="non-finite trial state"):
+            adapter.rhs(0.5, (bad, 1.0))
 
 
 class TestCompare:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from booksis import oracle as oracle_module
 from booksis.canonical import BookSystem, CanonicalState, rhs
@@ -475,6 +477,35 @@ class TestBitPin:
         assert self.EXPECTED["quadratic_blowup", "adaptive"]["error"] == \
             "StepSizeUnderflowError"
         assert self.EXPECTED["nan_trap", "adaptive"]["stats"]["rejected"] > 0
+
+
+# every float class the stage sums can meet: signed zeros, subnormals,
+# infinities and NaN as well as ordinary values
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
+                     math.nan]),
+)
+_PAIR = st.tuples(_ANY_FLOAT, _ANY_FLOAT)
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=_PAIR, h=_ANY_FLOAT, k=st.lists(_PAIR, min_size=7, max_size=7))
+def test_two_component_stage_sums_match_the_general_loop(y, h, k):
+    # the unrolled two-component path adds the same terms in the same
+    # order as the loop that serves every other dimension
+    rows = [*oracle_module._DP_A_TERMS, oracle_module._DP_B5_TERMS,
+            oracle_module._DP_ERR_TERMS]
+    for terms in rows:
+        assert _hex(oracle_module._combine(y, h, terms, k)) == \
+            _hex(oracle_module._combine_loop(y, h, terms, k))
+    fast = oracle_module._dense_coefficients(h, k)
+    loop = oracle_module._dense_coefficients_loop(h, k)
+    assert [_hex(row) for row in fast] == [_hex(row) for row in loop]
 
 
 def test_oracle_imports_only_errors_from_the_package():
