@@ -47,11 +47,12 @@ applied to the evaluator's own intermediates, with
     Theta' = b_a,   Gamma' = b_a / L,   I' = e^Gamma b_b,
     L = 1 - z c1 e^Theta
 
-(so (e^Theta)' = e^Theta b_a and (e^Gamma)' = e^Gamma b_a / L), and for
-the deformed coordinate x = -ln(L)/z, x' = c1 e^Theta b_a / L.  The
-formula is differentiated, never the equation of motion: for
-y = (c2 + I)/G the rate is y' = (I' - (c2 + I) G'/G)/G, not
-b_b - b_a y, so comparing the rate with the right-hand side at the
+(so (e^Theta)' = e^Theta b_a), and for the deformed coordinate
+x = -ln(L)/z, x' = c1 e^Theta b_a / L.  For y = (c2 + I) e^-Gamma the
+rate is y' = b_b - y b_a / L, formed from quotients so that no product
+with e^Gamma overflows where y is finite.  The formula is
+differentiated, never the equation of motion, which reads
+e^{z x} = 1/L off x: comparing the rate with the right-hand side at the
 state checks the closed-form algebra to round-off.
 
 Finite-difference Poisson brackets and vector-field commutators are
@@ -578,16 +579,15 @@ def _book_closed_form(b_a: CoefficientFunction, b_b: CoefficientFunction, a: flo
         g = exp_checked(gamma, "book solution", t)
         if g == 0.0:
             raise ExpOverflowError(f"book solution: exp(-Gamma) overflowed at t={t!r}")
-        i_t = c2 + forced
-        state = finite_state(CanonicalState, x, i_t / g, t)
-        # x = -ln(L)/z with L = 1 - w: x' = c1 e^Theta b_a / L;
-        # (e^Gamma)' = e^Gamma b_a / L, I' = e^Gamma b_b
+        state = finite_state(CanonicalState, x, (c2 + forced) / g, t)
+        # x = -ln(L)/z with L = 1 - w: x' = c1 e^Theta b_a / L; y = (c2 + I)
+        # e^-Gamma with I' = e^Gamma b_b and Gamma' = b_a / L, so
+        # y' = b_b - y b_a / L, formed from quotients: (c2 + I) (e^Gamma)'
+        # overflows where y is finite
         log_arg = 1.0 - w
         b_a_t = k.b_a(t)
         d_growth = growth * b_a_t
-        d_g = g * b_a_t / log_arg
-        d_forced = g * k.b_b(t)
-        return Jet(state, (c1 * d_growth / log_arg, (d_forced - i_t * d_g / g) / g))
+        return Jet(state, (c1 * d_growth / log_arg, k.b_b(t) - state.y * b_a_t / log_arg))
 
     return evaluate
 

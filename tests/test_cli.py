@@ -271,15 +271,30 @@ class TestResidual:
         assert metadata["samples_evaluated"] > 0
         assert metadata["max_residual"] <= 1e-12
 
-    def test_infinite_residual_is_reported(self, tmp_path):
-        # e^Gamma = e^{300 t} makes the rate's product i_t * d_g overflow
-        # from t = 1.2 on: the rate is -inf while the state is finite, so
-        # the residual is inf, and the report must not skip it
+    def test_rate_of_a_finite_state_is_finite(self, tmp_path):
+        # e^Gamma = e^{300 t} reaches 1e299 by t = 2.3, where y is 1/300:
+        # the rate of y is formed from quotients, so it stays finite with
+        # the state and the residual is round-off
         path = write_scenario(
             tmp_path, model="book-canonical", coefficients={"bA": "300", "bB": "1"},
             initial={"chart": "xy", "values": [1e-300, 1.0]},
             grid={"t_start": 0.0, "t_end": 2.3, "n_samples": 24})
+        trajectory, metadata, _ = run_scenario(path)
+        assert len(trajectory.samples) == 24
+        assert all(math.isfinite(sample.residual) for sample in trajectory.samples)
+        assert metadata["max_residual"] <= 1e-12
+
+    def test_infinite_residual_is_reported(self, tmp_path):
+        # at t = 2.36, x = 1e-300 e^{708} is about 3e7, but the rate's
+        # product e^Theta * b_a overflows before c1 scales it down: the
+        # rate is inf while the state is finite, so the residual is inf,
+        # and the report must not skip it
+        path = write_scenario(
+            tmp_path, model="book-canonical", coefficients={"bA": "300", "bB": "1"},
+            initial={"chart": "xy", "values": [1e-300, 1.0]},
+            grid={"t_start": 0.0, "t_end": 2.36, "n_samples": 2})
         trajectory, metadata, _ = run_scenario(path, out_dir=tmp_path / "out")
+        assert math.isfinite(trajectory.samples[-1].state[0])
         assert math.isinf(trajectory.samples[-1].residual)
         assert metadata["max_residual"] == math.inf
         report = json.loads((tmp_path / "out" / "scen.report.json").read_text())
