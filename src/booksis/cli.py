@@ -465,6 +465,17 @@ def _residual(adapter: Model, t: float, state: tuple[float, float],
     return max(abs(rate[0] - f[0]), abs(rate[1] - f[1])) / scale
 
 
+def _oracle_config(method: str, initial: tuple[float, float]) -> oracle.IntegratorConfig:
+    """The oracle's defaults, with atol lowered to rtol times the smallest
+    nonzero |initial component| where that is below the default: a fixed
+    atol of 1e-12 lets a solution that starts far below it go unresolved.
+    A product that underflows is floored at the least subnormal."""
+    defaults = oracle.IntegratorConfig(method=method)
+    scale = min((abs(v) for v in initial if v != 0.0), default=math.inf)
+    atol = max(min(defaults.atol, defaults.rtol * scale), math.ulp(0.0))
+    return replace(defaults, atol=atol)
+
+
 def run_scenario(
     path: str | Path,
     method: str = "adaptive",
@@ -511,7 +522,7 @@ def run_scenario(
     if evaluated_times:
         # no step cap: the adaptive method samples with its own 4th-order
         # continuous extension, so its error control alone sets the steps
-        config = oracle.IntegratorConfig(method=method)
+        config = _oracle_config(method, scenario.initial)
         # the scenario's own initial values, so that a closed form with
         # wrong integration constants shows as a deviation
         problem = oracle.OdeProblem(rhs=adapter.rhs, t0=scenario.t_start,

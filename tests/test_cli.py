@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from booksis import oracle, sis
 from booksis.canonical import BookIntegrals, IntegrationConstants
 from booksis.cli import (
+    _oracle_config,
     _residual,
     _sample_times,
     EXIT_DOMAIN,
@@ -256,6 +257,18 @@ class TestRunScenario:
         for value, sample in zip(stored, trajectory.samples):
             assert abs(value - sample.residual) <= 1e-12
 
+    @pytest.mark.parametrize("initial, atol", [
+        ((0.4, 0.8), 1e-12),  # every bundled and benchmark start keeps the default
+        ((0.0, 0.0), 1e-12),
+        ((1e-3, 0.0), 1e-10 * 1e-3),
+        ((-1e-300, 2.0), 1e-10 * 1e-300),
+        ((5e-324, 1.0), 5e-324),  # the product underflows to 0: the floor
+    ])
+    def test_oracle_atol_scales_with_the_initial_state(self, initial, atol):
+        config = _oracle_config("adaptive", initial)
+        assert config.atol == atol
+        assert config.rtol == oracle.IntegratorConfig().rtol
+
 
 BUNDLED_SCENARIOS = sorted(
     (Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
@@ -271,16 +284,19 @@ class TestResidual:
         assert metadata["samples_evaluated"] > 0
         assert metadata["max_residual"] <= 1e-12
 
-    def test_rate_of_a_finite_state_is_finite(self, tmp_path):
-        # e^Gamma = e^{300 t} reaches 1e299 by t = 2.3, where y is 1/300:
-        # the rate of y is formed from quotients, so it stays finite with
-        # the state and the residual is round-off
+    def test_tiny_start_passes_at_round_off(self, tmp_path):
+        # x starts at 1e-300 and grows as e^{300 t} to 0.46 at t = 2.3,
+        # where e^Gamma is 1e299 and y is 1/300: the oracle's atol scales
+        # with the initial state, so it follows x, and the rate of y is
+        # formed from quotients, so it stays finite with the state
         path = write_scenario(
             tmp_path, model="book-canonical", coefficients={"bA": "300", "bB": "1"},
             initial={"chart": "xy", "values": [1e-300, 1.0]},
             grid={"t_start": 0.0, "t_end": 2.3, "n_samples": 24})
-        trajectory, metadata, _ = run_scenario(path)
+        trajectory, metadata, code = run_scenario(path)
+        assert code == EXIT_PASS
         assert len(trajectory.samples) == 24
+        assert metadata["max_deviation"] <= 1e-7
         assert all(math.isfinite(sample.residual) for sample in trajectory.samples)
         assert metadata["max_residual"] <= 1e-12
 
@@ -288,12 +304,14 @@ class TestResidual:
         # at t = 2.36, x = 1e-300 e^{708} is about 3e7, but the rate's
         # product e^Theta * b_a overflows before c1 scales it down: the
         # rate is inf while the state is finite, so the residual is inf,
-        # and the report must not skip it
+        # and the report must not skip it (the fixed-step oracle keeps
+        # the run short; the residual does not depend on it)
         path = write_scenario(
             tmp_path, model="book-canonical", coefficients={"bA": "300", "bB": "1"},
             initial={"chart": "xy", "values": [1e-300, 1.0]},
             grid={"t_start": 0.0, "t_end": 2.36, "n_samples": 2})
-        trajectory, metadata, _ = run_scenario(path, out_dir=tmp_path / "out")
+        trajectory, metadata, _ = run_scenario(path, method="fixed",
+                                               out_dir=tmp_path / "out")
         assert math.isfinite(trajectory.samples[-1].state[0])
         assert math.isinf(trajectory.samples[-1].residual)
         assert metadata["max_residual"] == math.inf
