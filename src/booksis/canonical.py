@@ -51,9 +51,9 @@ applied to the evaluator's own intermediates, with
 x = -ln(L)/z, x' = c1 e^Theta b_a / L.  For y = (c2 + I) e^-Gamma the
 rate is y' = b_b - y b_a / L, formed from quotients so that no product
 with e^Gamma overflows where y is finite.  The formula is
-differentiated, never the equation of motion, which reads
-e^{z x} = 1/L off x: comparing the rate with the right-hand side at the
-state checks the closed-form algebra to round-off.
+differentiated, never the equation of motion (the rate has 1/L where the
+right-hand side has e^{z x}), so comparing the rate with the right-hand
+side at the state checks the closed-form algebra to round-off.
 
 Finite-difference Poisson brackets and vector-field commutators are
 provided to verify the algebra's structure relations numerically; they

@@ -10,14 +10,17 @@ Both methods are generators of accepted steps, and :func:`integrate_ode`
 alone places the samples.  A state is a tuple of Python floats, from
 ``OdeProblem.state0`` through the steppers to the sampled
 ``OdeSolution``, and every stage sum is written out in one fixed order,
-so the output bits depend only on IEEE double arithmetic.  Between the
-ends of an adaptive step the samples come from the pair's own 4th-order
-continuous extension, a degree-4 polynomial in the step fraction built
-from the step's seven stages, so the error control alone sets the steps;
-between the ends of a fixed step they come from cubic Hermite
-interpolation on the endpoint derivatives, which is 4th-order accurate
-like the scheme.  A sample at a step's end, t_end included, is the
-integrator's own state.
+so the output bits depend only on IEEE double arithmetic.  A
+two-component state takes an unrolled path through the stage sums, the
+continuous extension's coefficients and the finiteness test, with the
+same operations in the same order as the general loop, which serves
+every other dimension.  Between the ends of an adaptive step the samples
+come from the pair's own 4th-order continuous extension, a degree-4
+polynomial in the step fraction built from the step's seven stages, so
+the error control alone sets the steps; between the ends of a fixed step
+they come from cubic Hermite interpolation on the endpoint derivatives,
+which is 4th-order accurate like the scheme.  A sample at a step's end,
+t_end included, is the integrator's own state.
 
 When the right-hand side blows up (singularity, validity-window edge)
 the adaptive method keeps rejecting and shrinking the step until the
