@@ -100,6 +100,7 @@ __all__ = [
     "rhs",
     "exact_solution",
     "solution_evaluator",
+    "book_closed_form",
     "fit_constants",
     "finite_state",
     "exp_checked",
@@ -304,12 +305,14 @@ class BookIntegrals:
     the first edge shown is bisected to 1e-10.  Building stops once a
     piece reaches the time asked for or shows the edge, which a rebuilt
     piece moves only to show it more than 1e-10 earlier; a value at or
-    past t_max raises :class:`ValidityWindowError` naming it.  For
-    z c1 <= 0 the window never ends; for z c1 >= 1 it is empty.  Not safe
-    for unsynchronized shared use.
+    past t_max raises :class:`ValidityWindowError` naming it; one within
+    the bisection's 1e-10 below t_max may raise it naming t.  For z c1 <= 0
+    the window never ends; for z c1 >= 1 it is empty.  Not safe for
+    unsynchronized shared use.
 
-    ``b_a`` and ``b_b`` are kept for the closed forms' jets: Theta' = b_a,
-    Gamma' = b_a / L and I' = e^Gamma b_b.
+    ``cli.Model`` builds one kernel per scenario for its window and closed
+    form.  ``b_a`` and ``b_b`` are kept for the closed forms' jets:
+    Theta' = b_a, Gamma' = b_a / L and I' = e^Gamma b_b.
     """
 
     def __init__(self, b_a: CoefficientFunction, b_b: CoefficientFunction,
@@ -463,7 +466,7 @@ class BookIntegrals:
         nodes = piece.nodes
         lo, hi = self._ends[j], self._ends[j + 1]
         if self._past_edge(max(piece.theta)):  # the piece holds the window edge
-            return _midpoint(lo, hi, "I")
+            return _midpoint(lo, hi, "I", ValidityWindowError(t, t))
         exponent = [self._gamma(v) for v in piece.theta]
         # a failure at or before t leaves I(t) undefined
         past = bisect.bisect_right(nodes, t)
@@ -557,22 +560,20 @@ def _shifted_log_ratio(w: float) -> float:
     return -math.log1p(-w) / w
 
 
-def _book_closed_form(b_a: CoefficientFunction, b_b: CoefficientFunction, a: float,
-                      z: float, constants: IntegrationConstants,
-                      tol: float) -> Callable[[float], Jet]:
-    """The book closed form for deformation ``z`` (see the module
-    docstring) as an evaluator of t returning the :class:`Jet`
-    ((x, y), (x', y')).  Every call checks t against the validity
+def book_closed_form(kernel: BookIntegrals,
+                     constants: IntegrationConstants) -> Callable[[float], Jet]:
+    """The book closed form on ``kernel`` (see the module docstring), whose
+    ``z_c1`` is z * c1, as an evaluator of t returning the :class:`Jet`
+    ((x, y), (x', y')).  Every call checks t against the kernel's validity
     window, which never ends when z c1 <= 0; at z c1 = 0, x = c1 e^Theta
     exactly and Gamma is Theta.
     """
     c1, c2 = constants.c1, constants.c2
-    k = BookIntegrals(b_a, b_b, a, tol, z * c1)
 
     def evaluate(t: float) -> Jet:
-        theta, gamma, forced = k.integrals(t)
+        theta, gamma, forced = kernel.integrals(t)
         growth = exp_checked(theta, "book solution", t)
-        w = z * c1 * growth
+        w = kernel.z_c1 * growth
         if w >= 1.0:
             raise ValidityWindowError(t, t)
         x = c1 * growth * _shifted_log_ratio(w)
@@ -585,9 +586,9 @@ def _book_closed_form(b_a: CoefficientFunction, b_b: CoefficientFunction, a: flo
         # y' = b_b - y b_a / L, formed from quotients: (c2 + I) (e^Gamma)'
         # overflows where y is finite
         log_arg = 1.0 - w
-        b_a_t = k.b_a(t)
+        b_a_t = kernel.b_a(t)
         d_growth = growth * b_a_t
-        return Jet(state, (c1 * d_growth / log_arg, k.b_b(t) - state.y * b_a_t / log_arg))
+        return Jet(state, (c1 * d_growth / log_arg, kernel.b_b(t) - state.y * b_a_t / log_arg))
 
     return evaluate
 
@@ -603,7 +604,7 @@ def solution_evaluator(
     The kernel's Chebyshev pieces are shared across calls, so evaluating
     a whole time grid costs one sweep.
     """
-    return _book_closed_form(sys.b_a, sys.b_b, sys.a, 0.0, constants, tol)
+    return book_closed_form(BookIntegrals(sys.b_a, sys.b_b, sys.a, tol), constants)
 
 
 def exact_solution(

@@ -261,7 +261,7 @@ class _ModelSpec:
     chart: str
     coefficients: tuple[str, ...]  # dilation and translation keys, in that order
     system: Callable  # book view (a DeformedBookSystem) -> the model's system
-    evaluator: Callable  # (model, quadrature tolerance) -> t -> canonical.Jet
+    evaluator: Callable  # model -> t -> canonical.Jet
     rhs: Callable  # (model, t, state object) -> right-hand side
     optional: tuple[str, ...] = ()
     deformed: bool = False  # takes z and has a validity window
@@ -283,40 +283,40 @@ def _moments_jet(jet: canonical.Jet) -> canonical.Jet:
 _MODEL_TABLE = {
     "book-canonical": _ModelSpec(
         "xy", ("bA", "bB"), system=lambda book: book.base,
-        evaluator=lambda m, tol: canonical.solution_evaluator(m.system, m.constants, tol),
+        evaluator=lambda m: canonical.book_closed_form(m.kernel, m.constants),
         rhs=lambda m, t, s: canonical.rhs(m.system, t, s)),
     "sis": _ModelSpec(
         "qp", ("rho0", "b"), system=_sis_view,
-        evaluator=lambda m, tol: sis.sis_solution_evaluator(m.system, m.constants, tol),
+        evaluator=lambda m: sis.chart_image(m.kernel, m.constants),
         rhs=lambda m, t, s: sis.sis_rhs(m.system, t, s)),
     "sis-constant": _ModelSpec(
         "qp", ("rho0",), optional=("b",), system=_sis_view, constant_rate=True,
-        # explicit formula, no quadrature: the tolerance is not used
-        evaluator=lambda m, tol: lambda t: sis.sis_constant_jet(m.rate, m.constants, t),
+        # explicit formula, no quadrature: the kernel is not read
+        evaluator=lambda m: lambda t: sis.sis_constant_jet(m.rate, m.constants, t),
         rhs=lambda m, t, s: sis.sis_rhs(m.system, t, s)),
     "moments": _ModelSpec(
         "moments", ("rho0",), system=_sis_view, constant_rate=True,
-        evaluator=lambda m, tol: lambda t: _moments_jet(
+        evaluator=lambda m: lambda t: _moments_jet(
             sis.sis_constant_jet(m.rate, m.constants, t)),
         rhs=lambda m, t, s: sis.moment_rhs(m.rate, s)),
     "deformed-book": _ModelSpec(
         "xy", ("bA", "bB"), system=lambda book: book, deformed=True,
-        evaluator=lambda m, tol: deformed.deformed_solution_evaluator(
-            m.system, m.constants, tol),
+        evaluator=lambda m: canonical.book_closed_form(m.kernel, m.constants),
         rhs=lambda m, t, s: deformed.deformed_rhs(m.system, t, s)),
     "deformed-sis": _ModelSpec(
         "qp", ("rho0", "b"), deformed=True,
         system=lambda book: DeformedSisSystem(_sis_view(book), book.z),
-        evaluator=lambda m, tol: deformed.deformed_sis_solution_evaluator(
-            m.system, m.constants, tol),
+        evaluator=lambda m: sis.chart_image(m.kernel, m.constants),
         rhs=lambda m, t, s: deformed.deformed_sis_rhs(m.system, t, s)),
 }
 
 
 class Model:
     """One scenario's model built from its chart and model table rows:
-    closed-form evaluator, right-hand side, companion-chart image,
-    physicality flag and validity window, all on plain state tuples."""
+    closed-form evaluator, right-hand side, companion-chart image and
+    physicality flag, all on plain state tuples.  ``kernel`` is the
+    scenario's one integral kernel: its ``window_end`` is the validity
+    window, and the quadrature closed forms read their integrals off it."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
@@ -339,6 +339,9 @@ class Model:
         self.constants = deformed.deformed_fit_constants(
             self.book, scenario.t_start, self.chart.to_xy(scenario.initial)
         )
+        self.kernel = canonical.BookIntegrals(
+            *coefficients, scenario.a, scenario.quadrature_tol,
+            scenario.z * self.constants.c1)
 
     def _coefficient(self, key: str) -> CoefficientFunction:
         try:
@@ -362,10 +365,10 @@ class Model:
                 raise ScenarioError(f"{scenario.model} fixes b == 1")
         return value
 
-    def exact_evaluator(self, tol: float) -> Callable[[float], tuple[tuple, tuple]]:
+    def exact_evaluator(self) -> Callable[[float], tuple[tuple, tuple]]:
         """t -> (state, rate): the closed form's state and its exact time
         derivative, both as tuples in the chart's field order."""
-        evaluate = self.spec.evaluator(self, tol)
+        evaluate = self.spec.evaluator(self)
         values = self._values
 
         def jet(t: float) -> tuple[tuple, tuple]:
@@ -397,12 +400,6 @@ class Model:
         if self.chart.physical_in_companion:
             state = companion
         return state is not None and state[0] > 0.0 and state[1] > 0.0
-
-    def validity_t_max(self, horizon: float) -> float:
-        if not self.spec.deformed:
-            return math.inf
-        return deformed.validity_window(self.book, self.constants.c1, horizon,
-                                        self.scenario.quadrature_tol).t_max
 
 
 def build_adapter(scenario: Scenario) -> Model:
@@ -495,10 +492,10 @@ def run_scenario(
             raise ScenarioError(f"tol must be positive, got {tol!r}")
 
     grid = _sample_times(scenario)
-    t_max = adapter.validity_t_max(scenario.t_end + 1.0)
+    t_max = adapter.kernel.window_end(scenario.t_end + 1.0)
     domain_exit = None
 
-    evaluate = adapter.exact_evaluator(scenario.quadrature_tol)
+    evaluate = adapter.exact_evaluator()
     exact_states: list[tuple[float, float]] = []
     exact_rates: list[tuple[float, float]] = []
     evaluated_times: list[float] = []
@@ -676,13 +673,13 @@ def compare_scenario(
 
     # classical reference from the same initial state
     classical = build_adapter(replace(scenario, z=0.0))
-    classical_states = _sweep_exact(classical, scenario, grid)
+    classical_states = _sweep_exact(classical, grid)
 
     rows: list[dict] = []
     for z in z_values:
         adapter = build_adapter(replace(scenario, z=z))
         try:
-            states = _sweep_exact(adapter, scenario, grid)
+            states = _sweep_exact(adapter, grid)
         except ValidityWindowError as exc:
             raise BooksisError(
                 f"z={z!r}: validity window ends at {exc.t_max!r}, inside the grid; "
@@ -729,8 +726,8 @@ def _order(z0: float, z1: float, v0: float, v1: float) -> float | None:
     return None
 
 
-def _sweep_exact(adapter: Model, scenario: Scenario, grid: list[float]):
-    evaluate = adapter.exact_evaluator(scenario.quadrature_tol)
+def _sweep_exact(adapter: Model, grid: list[float]):
+    evaluate = adapter.exact_evaluator()
     return [evaluate(t)[0] for t in grid]
 
 
@@ -792,7 +789,7 @@ def _cmd_window(args) -> int:
         raise ScenarioError(
             f"--horizon must be finite and exceed the grid start, got {horizon!r}"
         )
-    t_max = adapter.validity_t_max(horizon)
+    t_max = adapter.kernel.window_end(horizon)
     if math.isinf(t_max):
         print(f"t_max=inf (no validity exit up to horizon {horizon!r})")
     else:

@@ -42,7 +42,7 @@ from .canonical import (
     CanonicalState,
     IntegrationConstants,
     Jet,
-    _book_closed_form,
+    book_closed_form,
     default_fd_step,
     exp_checked,
     poisson_bracket,
@@ -54,7 +54,7 @@ from .sis import (
     SINGULAR_LOCUS_TOLERANCE,
     EpidemicState,
     SisSystem,
-    _chart_image,
+    chart_image,
     sis_rhs,
 )
 
@@ -231,8 +231,8 @@ def deformed_solution_evaluator(
     :func:`~booksis.canonical.solution_evaluator` evaluates at z = 0, so
     at z = 0 the jets are the classical ones bit for bit.
     """
-    return _book_closed_form(sys.base.b_a, sys.base.b_b, sys.base.a, sys.z,
-                             constants, tol)
+    return book_closed_form(BookIntegrals(
+        sys.base.b_a, sys.base.b_b, sys.base.a, tol, sys.z * constants.c1), constants)
 
 
 def deformed_exact_solution(
@@ -320,7 +320,8 @@ def deformed_sis_solution_evaluator(
     validity window, and a time before the base point raises
     ``ValueError``.
     """
-    return _chart_image(sys.base.rho0, sys.base.b, sys.base.a, sys.z, constants, tol)
+    return chart_image(BookIntegrals(
+        sys.base.rho0, sys.base.b, sys.base.a, tol, sys.z * constants.c1), constants)
 
 
 def deformed_sis_exact_solution(

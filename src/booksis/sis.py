@@ -37,10 +37,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .canonical import (
+    BookIntegrals,
     CanonicalState,
     IntegrationConstants,
     Jet,
-    _book_closed_form,
+    book_closed_form,
     exp_checked,
     finite_state,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "sis_hamiltonian",
     "sis_exact_solution",
     "sis_solution_evaluator",
+    "chart_image",
     "sis_constant_solution",
     "sis_constant_jet",
     "moment_rhs",
@@ -176,10 +178,9 @@ def sis_hamiltonian(sys: SisSystem, t: float, s: EpidemicState) -> float:
 
 # --- exact solutions ---------------------------------------------------------------
 
-def _chart_image(rho0: CoefficientFunction, b: CoefficientFunction, a: float,
-                 z: float, constants: IntegrationConstants,
-                 tol: float) -> Callable[[float], Jet]:
-    """The book closed form for deformation ``z``, with dilation rho0 and
+def chart_image(kernel: BookIntegrals,
+                constants: IntegrationConstants) -> Callable[[float], Jet]:
+    """The book closed form on ``kernel``, with dilation rho0 and
     translation b, mapped to the (q, p) chart: an evaluator of t returning
     the :class:`~booksis.canonical.Jet` ((q, p), (q', p')).  The state is
     :func:`from_canonical`'s, q = x u / d and p = d / x with u = x y and
@@ -189,7 +190,7 @@ def _chart_image(rho0: CoefficientFunction, b: CoefficientFunction, a: float,
     """
     if constants.c1 == 0.0:
         raise ValueError("c1 must be nonzero (x(t) would vanish identically)")
-    book = _book_closed_form(rho0, b, a, z, constants, tol)
+    book = book_closed_form(kernel, constants)
 
     def evaluate(t: float) -> Jet:
         xy, (d_x, d_y) = book(t)
@@ -226,7 +227,7 @@ def sis_solution_evaluator(
         q(t) = I(t) exp(Theta(t)) / (I(t)^2 - c1^-2)
         p(t) = (c1 I(t)^2 - 1/c1) exp(-Theta(t))
     """
-    return _chart_image(sys.rho0, sys.b, sys.a, 0.0, constants, tol)
+    return chart_image(BookIntegrals(sys.rho0, sys.b, sys.a, tol), constants)
 
 
 def sis_exact_solution(

@@ -346,7 +346,7 @@ class TestResidual:
             }))
 
         closed_form, other = build(pair[0]), build(pair[1])
-        evaluate = closed_form.exact_evaluator(1e-10)
+        evaluate = closed_form.exact_evaluator()
         for t in (0.25 * k for k in range(7)):
             state, rate = evaluate(t)
             assert _residual(closed_form, t, state, rate) <= 1e-12
@@ -694,8 +694,9 @@ class TestMainEntryPoint:
 
     @pytest.mark.parametrize("name", ["window_exit", "narrow_pulse"])
     def test_every_verb_names_one_edge(self, name, capsys):
-        # window, run's domain exit and compare's error each build their
-        # own kernel, on one piece grid: they bisect the same edge
+        # window, run and each z of compare build one kernel per adapter
+        # (run's domain exit and sweep read the same one), on one piece
+        # grid: they bisect the same edge
         path = ROOT / "scenarios" / f"{name}.json"
         assert main(["window", str(path), "--horizon", "4"]) == EXIT_PASS
         edge = _last_number(capsys.readouterr().out)
@@ -707,19 +708,45 @@ class TestMainEntryPoint:
             compare_scenario(path)
         assert _last_number(str(err.value)) == edge
 
+    @pytest.fixture
+    def kernels_built(self, monkeypatch):
+        """Every BookIntegrals built from here on."""
+        built = []
+        init = BookIntegrals.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BookIntegrals, "__init__", spy)
+        return built
+
+    @pytest.mark.parametrize("name", ["deformed_book", "deformed_sis", "window_exit",
+                                      "narrow_pulse"])
+    def test_run_builds_one_kernel(self, name, kernels_built):
+        # the window, the sweep and the residual of a run read one kernel
+        run_scenario(ROOT / "scenarios" / f"{name}.json")
+        assert len(kernels_built) == 1
+
+    @pytest.mark.parametrize("name", ["deformed_book", "deformed_sis"])
+    def test_compare_builds_one_kernel_per_z(self, name, kernels_built):
+        # one for the classical reference, then one for each of z, z/2, z/4
+        compare_scenario(ROOT / "scenarios" / f"{name}.json")
+        assert len(kernels_built) == 4
+
     @pytest.mark.parametrize("name", ["deformed_book", "deformed_sis", "window_exit"])
     def test_fresh_evaluator_gives_the_sweeps_bits(self, name):
-        # for z c1 > 0 the values depend only on t: a kernel asked at one
-        # grid time alone gives the jet the sweep gave there
+        # for z c1 > 0 the values depend only on t: a cold kernel asked at
+        # one grid time alone gives the jet the sweep gave there
         scenario = load_scenario(ROOT / "scenarios" / f"{name}.json")
         adapter = build_adapter(scenario)
-        t_max = adapter.validity_t_max(scenario.t_end + 1.0)
+        t_max = adapter.kernel.window_end(scenario.t_end + 1.0)
         grid = np.linspace(scenario.t_start, scenario.t_end, scenario.n_samples)
         times = [float(t) for t in grid if t < t_max]
-        sweep = adapter.exact_evaluator(scenario.quadrature_tol)
+        sweep = adapter.exact_evaluator()
         jets = [sweep(t) for t in times]
         for t, jet in zip(times, jets):
-            assert adapter.exact_evaluator(scenario.quadrature_tol)(t) == jet
+            assert build_adapter(scenario).exact_evaluator()(t) == jet
 
     def test_window_edge_for_a_subnormal_product(self, tmp_path, capsys):
         # z c1 = 1e-310 is subnormal: 1 - z c1 e^Theta reaches 0 only at

@@ -712,6 +712,27 @@ class TestIntegralKernel:
             k.gamma(t)
         assert (err.value.t, err.value.t_max) == (t, t)
 
+    @pytest.mark.parametrize("b_a", ["1", "2 + sin(3*t)", "0.5 + t"])
+    def test_read_next_to_the_edge_raises_a_window_error(self, b_a):
+        # a piece whose nodes show the edge is halved towards it until it
+        # is too narrow to split; a read there lies within the bisection's
+        # 1e-10 of t_max and raises (t, t), as the level test in
+        # integrals does, not a convergence failure.  b_b = 0 makes I
+        # trivial, so the edge is the only cause
+        for c in np.linspace(0.05, 3.0, 25):
+            kernel = BookIntegrals(CF.from_text(b_a), CF.constant(0.0), 0.0, 1e-10,
+                                   math.exp(-c))
+            t_max = kernel.window_end(4.0)
+            below = math.nextafter(t_max, -math.inf)
+            for t in (below, math.nextafter(below, -math.inf),
+                      t_max - 1e-11, t_max - 3e-11, t_max - 1e-10):
+                try:
+                    theta, gamma, forced = kernel.integrals(t)
+                except ValidityWindowError as err:
+                    assert (err.t, err.t_max) == (t, t)
+                else:
+                    assert math.isfinite(gamma) and forced == 0.0
+
     @pytest.mark.parametrize("z_c1", [1.0, 2.0])
     def test_window_is_empty_from_z_c1_one(self, z_c1):
         # L(a) = 1 - z c1 <= 0: the window closes at the base point, and
