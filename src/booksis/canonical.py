@@ -98,6 +98,7 @@ __all__ = [
     "field_b",
     "hamiltonian",
     "rhs",
+    "book_field",
     "exact_solution",
     "solution_evaluator",
     "book_closed_form",
@@ -185,8 +186,14 @@ def hamiltonian(sys: BookSystem, t: float, s: CanonicalState) -> float:
 
 def rhs(sys: BookSystem, t: float, s: CanonicalState) -> Vector:
     """(dx/dt, dy/dt) = (b_a(t)*x, -b_a(t)*y + b_b(t))"""
-    ba = sys.b_a(t)
-    return (ba * s.x, -ba * s.y + sys.b_b(t))
+    return book_field(sys.b_a, sys.b_b, t, s.x, s.y)
+
+
+def book_field(b_a: Callable[[float], float], b_b: Callable[[float], float],
+               t: float, x: float, y: float) -> Vector:
+    """:func:`rhs` on plain floats, with the coefficients as callables of t."""
+    ba = b_a(t)
+    return (ba * x, -ba * y + b_b(t))
 
 
 def finite_state(state_type, first: float, second: float, t: float):

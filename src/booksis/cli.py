@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Sequence
@@ -215,10 +216,11 @@ def load_scenario(path: str | Path) -> Scenario:
 # physicality and the map of an initial state to canonical (x, y), where
 # every model fits its constants (at z = 0 the deformed fit reads off
 # (x0, y0) exactly).  The model decides the system object, the closed form
-# and the right-hand side.  Table entries reach library functions through
-# their module at call time, never through a reference taken at import, so
-# a function rebound on its module (a tracer, a test double) is the one
-# that runs.
+# and the right-hand side, a float field of (t, u, v) that each Model binds
+# once, when it is built, over its system's coefficients.  Table entries
+# reach library functions through their module when they are read, never
+# through a reference taken at import, so a function rebound on its module
+# (a tracer, a test double) before a Model is built is the one that runs.
 
 @dataclass(frozen=True)
 class _Chart:
@@ -262,7 +264,7 @@ class _ModelSpec:
     coefficients: tuple[str, ...]  # dilation and translation keys, in that order
     system: Callable  # book view (a DeformedBookSystem) -> the model's system
     evaluator: Callable  # model -> t -> canonical.Jet
-    rhs: Callable  # (model, t, state object) -> right-hand side
+    field: Callable  # model -> (t, u, v) -> right-hand side, on floats
     optional: tuple[str, ...] = ()
     deformed: bool = False  # takes z and has a validity window
     constant_rate: bool = False  # rho0 read once at build, b == 1 and a == 0
@@ -270,6 +272,16 @@ class _ModelSpec:
 
 def _sis_view(book: DeformedBookSystem) -> SisSystem:
     return SisSystem(book.base.b_a, book.base.b_b, book.base.a)
+
+
+def _sis_field(m: "Model") -> Callable:
+    return partial(sis.sis_field, m.system.rho0, m.system.b)
+
+
+def _moments_field(m: "Model") -> Callable:
+    """The moment system is autonomous: its field ignores t."""
+    field, rate = sis.moment_field, m.rate
+    return lambda t, mean, variance: field(rate, mean, variance)
 
 
 def _moments_jet(jet: canonical.Jet) -> canonical.Jet:
@@ -284,37 +296,40 @@ _MODEL_TABLE = {
     "book-canonical": _ModelSpec(
         "xy", ("bA", "bB"), system=lambda book: book.base,
         evaluator=lambda m: canonical.book_closed_form(m.kernel, m.constants),
-        rhs=lambda m, t, s: canonical.rhs(m.system, t, s)),
+        field=lambda m: partial(canonical.book_field, m.system.b_a, m.system.b_b)),
     "sis": _ModelSpec(
         "qp", ("rho0", "b"), system=_sis_view,
         evaluator=lambda m: sis.chart_image(m.kernel, m.constants),
-        rhs=lambda m, t, s: sis.sis_rhs(m.system, t, s)),
+        field=_sis_field),
     "sis-constant": _ModelSpec(
         "qp", ("rho0",), optional=("b",), system=_sis_view, constant_rate=True,
         # explicit formula, no quadrature: the kernel is not read
         evaluator=lambda m: lambda t: sis.sis_constant_jet(m.rate, m.constants, t),
-        rhs=lambda m, t, s: sis.sis_rhs(m.system, t, s)),
+        field=_sis_field),
     "moments": _ModelSpec(
         "moments", ("rho0",), system=_sis_view, constant_rate=True,
         evaluator=lambda m: lambda t: _moments_jet(
             sis.sis_constant_jet(m.rate, m.constants, t)),
-        rhs=lambda m, t, s: sis.moment_rhs(m.rate, s)),
+        field=_moments_field),
     "deformed-book": _ModelSpec(
         "xy", ("bA", "bB"), system=lambda book: book, deformed=True,
         evaluator=lambda m: canonical.book_closed_form(m.kernel, m.constants),
-        rhs=lambda m, t, s: deformed.deformed_rhs(m.system, t, s)),
+        field=lambda m: partial(deformed.deformed_field, m.system.base.b_a,
+                                m.system.base.b_b, m.system.z)),
     "deformed-sis": _ModelSpec(
         "qp", ("rho0", "b"), deformed=True,
         system=lambda book: DeformedSisSystem(_sis_view(book), book.z),
         evaluator=lambda m: sis.chart_image(m.kernel, m.constants),
-        rhs=lambda m, t, s: deformed.deformed_sis_rhs(m.system, t, s)),
+        field=lambda m: partial(deformed.deformed_sis_field, m.system.base.rho0,
+                                m.system.base.b, m.system.z)),
 }
 
 
 class Model:
     """One scenario's model built from its chart and model table rows:
     closed-form evaluator, right-hand side, companion-chart image and
-    physicality flag, all on plain state tuples.  ``kernel`` is the
+    physicality flag, all on plain state tuples; the right-hand side is
+    the model's float field, bound once here.  ``kernel`` is the
     scenario's one integral kernel: its ``window_end`` is the validity
     window, and the quadrature closed forms read their integrals off it."""
 
@@ -342,6 +357,7 @@ class Model:
         self.kernel = canonical.BookIntegrals(
             *coefficients, scenario.a, scenario.quadrature_tol,
             scenario.z * self.constants.c1)
+        self._field = spec.field(self)
 
     def _coefficient(self, key: str) -> CoefficientFunction:
         try:
@@ -385,7 +401,7 @@ class Model:
         u, v = state
         if not (math.isfinite(u) and math.isfinite(v)):
             raise NonFiniteSampleError(f"non-finite trial state at t={t!r}")
-        return self.spec.rhs(self, t, self.chart.state(u, v))
+        return self._field(t, u, v)
 
     def companion(self, state: tuple[float, float]) -> tuple[float, float] | None:
         try:
@@ -626,18 +642,19 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_NO_COMPANION = (math.nan, math.nan)
+
+
 def _write_csv(path: Path, adapter: Model, trajectory: Trajectory) -> None:
+    """One row per sample, each value a Python float or int written by
+    ``repr``: a missing companion reads nan, physical reads 1 or 0."""
     header = ["t", *adapter.fields, *adapter.companion_fields,
               "deviation", "residual", "physical"]
     lines = [",".join(header)]
     for s in trajectory.samples:
-        row = [_fmt(s.t), _fmt(s.state[0]), _fmt(s.state[1])]
-        if s.companion is None:
-            row += ["nan", "nan"]
-        else:
-            row += [_fmt(s.companion[0]), _fmt(s.companion[1])]
-        row += [_fmt(s.deviation), _fmt(s.residual), "1" if s.physical else "0"]
-        lines.append(",".join(row))
+        lines.append(",".join(map(repr, (
+            s.t, *s.state, *(s.companion or _NO_COMPANION),
+            s.deviation, s.residual, int(s.physical)))))
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -69,12 +69,14 @@ __all__ = [
     "deformed_field_b",
     "deformed_hamiltonian",
     "deformed_rhs",
+    "deformed_field",
     "deformed_fit_constants",
     "validity_window",
     "deformed_exact_solution",
     "deformed_solution_evaluator",
     "deformed_sis_hamiltonians",
     "deformed_sis_rhs",
+    "deformed_sis_field",
     "deformed_sis_exact_solution",
     "deformed_sis_solution_evaluator",
     "perturbed_rhs_first_order",
@@ -173,10 +175,17 @@ def deformed_hamiltonian(sys: DeformedBookSystem, t: float, s: CanonicalState) -
 
 def deformed_rhs(sys: DeformedBookSystem, t: float, s: CanonicalState) -> tuple[float, float]:
     """(dx/dt, dy/dt) = (b_a (e^{z x} - 1)/z, -b_a e^{z x} y + b_b)"""
-    ba = sys.base.b_a(t)
+    return deformed_field(sys.base.b_a, sys.base.b_b, sys.z, t, s.x, s.y)
+
+
+def deformed_field(b_a: Callable[[float], float], b_b: Callable[[float], float],
+                   z: float, t: float, x: float, y: float) -> tuple[float, float]:
+    """:func:`deformed_rhs` on plain floats, with the coefficients as
+    callables of t."""
+    ba = b_a(t)
     return (
-        ba * expm1_over(sys.z, s.x),
-        -ba * exp_checked(sys.z * s.x, "deformed_rhs") * s.y + sys.base.b_b(t),
+        ba * expm1_over(z, x),
+        -ba * exp_checked(z * x, "deformed_rhs") * y + b_b(t),
     )
 
 
@@ -279,22 +288,30 @@ def deformed_sis_rhs(
     canonical system but stable uniformly in z (classical values at
     z = 0).
     """
-    qp2 = s.q * s.q * s.p * s.p
+    return deformed_sis_field(sys.base.rho0, sys.base.b, sys.z, t, s.q, s.p)
+
+
+def deformed_sis_field(rho0: Callable[[float], float], b: Callable[[float], float],
+                       z: float, t: float, q: float, p: float) -> tuple[float, float]:
+    """:func:`deformed_sis_rhs` on plain floats, with the coefficients as
+    callables of t; the singular locus and p = 0 raise
+    :class:`SingularLocusError` carrying the state."""
+    qp2 = q * q * p * p
     d = qp2 - 1.0
-    if s.p == 0.0 or abs(d) < SINGULAR_LOCUS_TOLERANCE:
+    if p == 0.0 or abs(d) < SINGULAR_LOCUS_TOLERANCE:
         raise SingularLocusError(
-            f"(q, p)=({s.q!r}, {s.p!r}) is singular for the deformed dynamics",
-            state=s,
+            f"(q, p)=({q!r}, {p!r}) is singular for the deformed dynamics",
+            state=EpidemicState(q, p),
         )
-    w = sys.z * d / s.p
+    w = z * d / p
     e = exp_checked(w, "deformed_sis_rhs")
     ph = _phi(w)
     su = qp2 + 1.0
-    r = sys.base.rho0(t)
-    b = sys.base.b(t)
-    dq = r * s.q * (su * e - 2.0 * ph) / d - b * (s.q * s.q + 1.0 / (s.p * s.p))
-    dp = -r * s.p * s.p * (2.0 * s.q * s.q * s.p * e - su * ph / s.p) / d \
-        + 2.0 * b * s.q * s.p
+    r = rho0(t)
+    bt = b(t)
+    dq = r * q * (su * e - 2.0 * ph) / d - bt * (q * q + 1.0 / (p * p))
+    dp = -r * p * p * (2.0 * q * q * p * e - su * ph / p) / d \
+        + 2.0 * bt * q * p
     return (dq, dp)
 
 

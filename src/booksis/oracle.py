@@ -10,11 +10,14 @@ Both methods are generators of accepted steps, and :func:`integrate_ode`
 alone places the samples.  A state is a tuple of Python floats, from
 ``OdeProblem.state0`` through the steppers to the sampled
 ``OdeSolution``, and every stage sum is written out in one fixed order,
-so the output bits depend only on IEEE double arithmetic.  A
-two-component state takes an unrolled path through the stage sums, the
-continuous extension's coefficients and the finiteness test, with the
-same operations in the same order as the general loop, which serves
-every other dimension.  Between the ends of an adaptive step the samples
+so the output bits depend only on IEEE double arithmetic.  An adaptive
+pass on a two-component state, which every model in the package has,
+runs a straight-line stepper: it holds the state and the seven stages on
+scalar locals, calls the right-hand side directly and writes out every
+stage sum, the error norm and the continuous extension's coefficients
+with the same operations in the same order as the general loop, which
+serves every other dimension, so both give the same bits.  Between the
+ends of an adaptive step the samples
 come from the pair's own 4th-order continuous extension, a degree-4
 polynomial in the step fraction built from the step's seven stages, so
 the error control alone sets the steps; between the ends of a fixed step
@@ -169,9 +172,6 @@ class OdeSolution:
 
 
 def _finite(v) -> bool:
-    if len(v) == 2:
-        a, b = v
-        return math.isfinite(a) and math.isfinite(b)
     return all(map(math.isfinite, v))
 
 
@@ -187,22 +187,7 @@ def _rms(v) -> float:
 
 def _combine(y: tuple, h: float, terms, k) -> tuple:
     """y + (h*w)*k[j] for the (j, w) pairs of ``terms``, added in that
-    order component by component.  A two-component state takes an
-    unrolled path with the same operations in the same order, so both
-    paths give the same bits."""
-    if len(y) == 2:
-        a, b = y
-        for j, w in terms:
-            c = h * w
-            kj = k[j]
-            a += c * kj[0]
-            b += c * kj[1]
-        return (a, b)
-    return _combine_loop(y, h, terms, k)
-
-
-def _combine_loop(y: tuple, h: float, terms, k) -> tuple:
-    """:func:`_combine` for a state of any dimension."""
+    order component by component."""
     scaled = [(h * w, k[j]) for j, w in terms]
     out = []
     for d, acc in enumerate(y):
@@ -231,27 +216,7 @@ def _dense_coefficients(h: float, k) -> list:
     """Per component d, the coefficients (c0, c1, c2, c3) of the
     continuous extension over a step of size h with stages ``k``:
     c_m = h * sum_j P[j][m] * k[j][d], summed over the nonzero P[j][m] in
-    stage order.  Two-component stages take an unrolled path with the
-    same operations in the same order."""
-    if len(k[0]) == 2:
-        cs0 = []
-        cs1 = []
-        for (j0, w0), *rest in _DP_P_TERMS:
-            kj = k[j0]
-            a = w0 * kj[0]
-            b = w0 * kj[1]
-            for j, w in rest:
-                kj = k[j]
-                a += w * kj[0]
-                b += w * kj[1]
-            cs0.append(h * a)
-            cs1.append(h * b)
-        return [cs0, cs1]
-    return _dense_coefficients_loop(h, k)
-
-
-def _dense_coefficients_loop(h: float, k) -> list:
-    """:func:`_dense_coefficients` for stages of any dimension."""
+    stage order."""
     out = []
     for d in range(len(k[0])):
         cs = []
@@ -311,42 +276,33 @@ def integrate_ode(
     if config.method == "fixed":
         stepper, stats = _integrate_fixed, {"steps": 0, "rhs_evals": 0}
     else:
-        stepper, stats = _integrate_adaptive, {"steps": 0, "rejected": 0, "rhs_evals": 0}
-    dim = len(problem.state0)
-    rhs = problem.rhs
-
-    def eval_rhs(t: float, y: tuple) -> tuple:
-        stats["rhs_evals"] += 1
-        f = tuple(map(float, rhs(t, y)))
-        if len(f) != dim:
-            raise ValueError(f"rhs returned dimension {len(f)}, expected {dim}")
-        return f
+        stats = {"steps": 0, "rejected": 0, "rhs_evals": 0}
+        stepper = _integrate_pair if len(problem.state0) == 2 else _integrate_adaptive
 
     # each accepted step carries its endpoint values and derivatives; a
     # sample before t_end is placed on the first step that reaches it, up
     # to round-off past its end, except that the zero-length step at t0
     # takes only the samples at or before t0.  A sample at the step's end
     # is its y_new; inside an adaptive step the pair's continuous
-    # extension, fitted once per step that has samples, gives it, and
-    # inside a fixed step the cubic Hermite interpolant
+    # extension gives it, and inside a fixed step the cubic Hermite
+    # interpolant
     inner = bisect.bisect_left(ts, problem.t_end)
     out = []
     cursor = 0
     try:
-        for t, t_new, y, y_new, f, f_new, k in stepper(problem, config, eval_rhs, stats):
+        for t, t_new, y, y_new, f, f_new, dense in stepper(problem, config, stats):
             reach = t_new + 1e-14 * max(1.0, abs(t_new)) if t_new > t else t_new
             if cursor == inner or ts[cursor] > reach:
                 continue
             h = t_new - t
-            coefficients = _dense_coefficients(h, k) if k is not None else None
             while cursor < inner and ts[cursor] <= reach:
                 tc = ts[cursor]
                 if tc == t_new or h == 0.0:
                     out.append(y_new)
-                elif coefficients is None:
+                elif dense is None:
                     out.append(_hermite(tc, t, t_new, y, y_new, f, f_new))
                 else:
-                    out.append(_dense((tc - t) / h, y, coefficients))
+                    out.append(_dense((tc - t) / h, y, dense))
                 cursor += 1
     except OdeIntegrationError as exc:
         exc.solution = OdeSolution(tuple(ts[:cursor]), tuple(out), stats)
@@ -357,14 +313,35 @@ def integrate_ode(
     return OdeSolution(tuple(ts), tuple(out), stats)
 
 
-# A stepper yields every accepted step as (t, t_new, y, y_new, f, f_new, k),
-# first a zero-length one at t0, and counts its steps in ``stats`` as it
-# goes, so that the counts of a failed pass are those of the steps it took.
-# k is the adaptive step's seven stages, and None for a fixed step and for
-# the zero-length one.
+# A stepper yields every accepted step as
+# (t, t_new, y, y_new, f, f_new, dense), first a zero-length one at t0, and
+# counts its steps and rhs evaluations in ``stats`` as it goes, so that the
+# counts of a failed pass are those of the work it did.  dense is an
+# adaptive step's continuous-extension coefficients, one (c0, c1, c2, c3)
+# per component, and None for a fixed step and for the zero-length one.
 
-def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
-                     rhs: Rhs, stats: dict):
+def _counted(problem: OdeProblem, stats: dict) -> Rhs:
+    """``problem.rhs`` returning a tuple of floats of the state's
+    dimension, with every call counted in ``stats``."""
+    rhs = problem.rhs
+    dim = len(problem.state0)
+
+    def eval_rhs(t: float, y: tuple) -> tuple:
+        stats["rhs_evals"] += 1
+        f = tuple(map(float, rhs(t, y)))
+        if len(f) != dim:
+            raise ValueError(_dimension_message(len(f), dim))
+        return f
+
+    return eval_rhs
+
+
+def _dimension_message(got: int, expected: int) -> str:
+    return f"rhs returned dimension {got}, expected {expected}"
+
+
+def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig, stats: dict):
+    rhs = _counted(problem, stats)
     y = problem.state0
     t = problem.t0
     span = problem.t_end - problem.t0
@@ -407,8 +384,8 @@ def _integrate_fixed(problem: OdeProblem, config: IntegratorConfig,
         stats["steps"] += 1
 
 
-def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
-                        rhs: Rhs, stats: dict):
+def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig, stats: dict):
+    rhs = _counted(problem, stats)
     y = problem.state0
     dim = len(y)
     t = problem.t0
@@ -475,8 +452,187 @@ def _integrate_adaptive(problem: OdeProblem, config: IntegratorConfig,
         # accepted; k[6] is f(t+h, y_new) by the first-same-as-last property
         t_new = t + h
         f_new = k[6]
-        yield t, t_new, y, y_new, f, f_new, k
+        yield t, t_new, y, y_new, f, f_new, _dense_coefficients(t_new - t, k)
         t, y, f = t_new, y_new, f_new
+        stats["steps"] += 1
+        if err == 0.0:
+            factor = _MAX_FACTOR
+        else:
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+        h *= factor
+
+
+class _NonFiniteStage(FloatingPointError):
+    """A stage of the two-component stepper that is not finite: rejected
+    like a recoverable rhs failure."""
+
+
+def _raise_if_not_pair(r) -> None:
+    """Called on a ValueError in :func:`_integrate_pair`, with ``r`` the
+    last rhs result: a result of another dimension, whose unpacking raised
+    it, becomes the general loop's dimension error."""
+    if r is not None and len(r) != 2:
+        raise ValueError(_dimension_message(len(r), 2)) from None
+
+
+def _integrate_pair(problem: OdeProblem, config: IntegratorConfig, stats: dict):
+    """:func:`_integrate_adaptive` for a state of two components, with
+    the same steps, samples, stats and errors, bit for bit.
+
+    The state (ya, yb) and the stages k1..k7 (k1 is f at the step's
+    start, k7 f at its end) are scalar locals and ``problem.rhs`` is
+    called directly.  Every sum is written out with the general loop's
+    nonzero terms in its order: y + (h*w)*k from left to right, the error
+    from 0.0, and the RMS norm with the first component's square first.
+    Stage 7's argument is y_new itself, as the pair's last A row is its
+    5th-order weights."""
+    rhs = problem.rhs
+    isfinite = math.isfinite
+    # the tableau and the continuous extension's weights by stage (1-based)
+    # and power; the zero weights are left out, as in the general loop
+    _, c2, c3, c4, c5, c6, c7 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _DP_A[1:6]
+    b1, _, b3, b4, b5, b6, _ = _DP_B5
+    e1, _, e3, e4, e5, e6, e7 = _DP_ERR
+    (d10, d11, d12, d13), _, (_, d31, d32, d33), (_, d41, d42, d43), \
+        (_, d51, d52, d53), (_, d61, d62, d63), (_, d71, d72, d73) = _DP_P
+
+    t = problem.t0
+    t_end = problem.t_end
+    y = problem.state0
+    ya, yb = y
+    r = None
+    try:
+        stats["rhs_evals"] += 1
+        r = rhs(t, y)
+        k1a, k1b = r
+        k1a, k1b = float(k1a), float(k1b)
+    except _RECOVERABLE as exc:
+        raise NonFiniteRhsError(f"rhs failed at the initial state: {exc}", t) from exc
+    except ValueError:
+        _raise_if_not_pair(r)
+        raise
+    f = (k1a, k1b)
+    if not (isfinite(k1a) and isfinite(k1b)):
+        raise NonFiniteRhsError("rhs non-finite at the initial state", t)
+    yield t, t, y, y, f, f, None
+    if t_end == t:
+        return
+
+    atol, rtol = config.atol, config.rtol
+    max_steps, max_step = config.max_steps, config.max_step
+    h = _initial_step(t, y, f, t_end, rtol, atol)
+    h = max(h, 16.0 * math.ulp(max(abs(t), 1.0)))
+
+    while t < t_end:
+        if stats["steps"] + stats["rejected"] >= max_steps:
+            raise StepLimitError(f"max_steps={max_steps} exceeded", t)
+        h = min(h, t_end - t, max_step)
+        h_min = 16.0 * math.ulp(max(abs(t), 1.0))
+        # a step that lands on t_end may be shorter than h_min; one that
+        # rejections shrank below it means the solution is blowing up
+        if h < h_min and h != t_end - t:
+            raise StepSizeUnderflowError(
+                f"step size {h!r} underflowed below {h_min!r}", t
+            )
+
+        try:
+            w1 = h * a21
+            stats["rhs_evals"] += 1
+            r = rhs(t + c2 * h, (ya + w1 * k1a, yb + w1 * k1b))
+            k2a, k2b = r
+            k2a, k2b = float(k2a), float(k2b)
+            if not (isfinite(k2a) and isfinite(k2b)):
+                raise _NonFiniteStage
+
+            w1, w2 = h * a31, h * a32
+            stats["rhs_evals"] += 1
+            r = rhs(t + c3 * h, (ya + w1 * k1a + w2 * k2a, yb + w1 * k1b + w2 * k2b))
+            k3a, k3b = r
+            k3a, k3b = float(k3a), float(k3b)
+            if not (isfinite(k3a) and isfinite(k3b)):
+                raise _NonFiniteStage
+
+            w1, w2, w3 = h * a41, h * a42, h * a43
+            stats["rhs_evals"] += 1
+            r = rhs(t + c4 * h, (ya + w1 * k1a + w2 * k2a + w3 * k3a,
+                                 yb + w1 * k1b + w2 * k2b + w3 * k3b))
+            k4a, k4b = r
+            k4a, k4b = float(k4a), float(k4b)
+            if not (isfinite(k4a) and isfinite(k4b)):
+                raise _NonFiniteStage
+
+            w1, w2, w3, w4 = h * a51, h * a52, h * a53, h * a54
+            stats["rhs_evals"] += 1
+            r = rhs(t + c5 * h, (ya + w1 * k1a + w2 * k2a + w3 * k3a + w4 * k4a,
+                                 yb + w1 * k1b + w2 * k2b + w3 * k3b + w4 * k4b))
+            k5a, k5b = r
+            k5a, k5b = float(k5a), float(k5b)
+            if not (isfinite(k5a) and isfinite(k5b)):
+                raise _NonFiniteStage
+
+            w1, w2, w3, w4, w5 = h * a61, h * a62, h * a63, h * a64, h * a65
+            stats["rhs_evals"] += 1
+            r = rhs(t + c6 * h, (
+                ya + w1 * k1a + w2 * k2a + w3 * k3a + w4 * k4a + w5 * k5a,
+                yb + w1 * k1b + w2 * k2b + w3 * k3b + w4 * k4b + w5 * k5b))
+            k6a, k6b = r
+            k6a, k6b = float(k6a), float(k6b)
+            if not (isfinite(k6a) and isfinite(k6b)):
+                raise _NonFiniteStage
+
+            w1, w3, w4, w5, w6 = h * b1, h * b3, h * b4, h * b5, h * b6
+            na = ya + w1 * k1a + w3 * k3a + w4 * k4a + w5 * k5a + w6 * k6a
+            nb = yb + w1 * k1b + w3 * k3b + w4 * k4b + w5 * k5b + w6 * k6b
+            stats["rhs_evals"] += 1
+            r = rhs(t + c7 * h, (na, nb))
+            k7a, k7b = r
+            k7a, k7b = float(k7a), float(k7b)
+            if not (isfinite(k7a) and isfinite(k7b)):
+                raise _NonFiniteStage
+        except _RECOVERABLE:
+            stats["rejected"] += 1
+            h *= 0.5
+            continue
+        except ValueError:
+            _raise_if_not_pair(r)
+            raise
+
+        w1, w3, w4, w5, w6, w7 = h * e1, h * e3, h * e4, h * e5, h * e6, h * e7
+        # y is finite, y_new may be NaN (two finite stage terms can sum to
+        # inf - inf); the larger magnitude is then NaN and so is err
+        qa = (0.0 + w1 * k1a + w3 * k3a + w4 * k4a + w5 * k5a + w6 * k6a + w7 * k7a) \
+            / (atol + rtol * (abs(ya) if abs(ya) >= abs(na) else abs(na)))
+        qb = (0.0 + w1 * k1b + w3 * k3b + w4 * k4b + w5 * k5b + w6 * k6b + w7 * k7b) \
+            / (atol + rtol * (abs(yb) if abs(yb) >= abs(nb) else abs(nb)))
+        err = math.sqrt((0.0 + qa * qa + qb * qb) / 2)
+
+        if err > 1.0 or not (isfinite(na) and isfinite(nb)):
+            stats["rejected"] += 1
+            factor = _SAFETY * err ** -0.2 if isfinite(err) and err > 0 else 0.5
+            h *= min(1.0, max(_MIN_FACTOR, factor))
+            continue
+
+        t_new = t + h
+        y_new = (na, nb)
+        f_new = (k7a, k7b)
+        # fitted over the step as stored, t_new - t, which may differ from
+        # h in its last bits
+        span = t_new - t
+        dense = (
+            (span * (d10 * k1a),
+             span * (d11 * k1a + d31 * k3a + d41 * k4a + d51 * k5a + d61 * k6a + d71 * k7a),
+             span * (d12 * k1a + d32 * k3a + d42 * k4a + d52 * k5a + d62 * k6a + d72 * k7a),
+             span * (d13 * k1a + d33 * k3a + d43 * k4a + d53 * k5a + d63 * k6a + d73 * k7a)),
+            (span * (d10 * k1b),
+             span * (d11 * k1b + d31 * k3b + d41 * k4b + d51 * k5b + d61 * k6b + d71 * k7b),
+             span * (d12 * k1b + d32 * k3b + d42 * k4b + d52 * k5b + d62 * k6b + d72 * k7b),
+             span * (d13 * k1b + d33 * k3b + d43 * k4b + d53 * k5b + d63 * k6b + d73 * k7b)),
+        )
+        yield t, t_new, y, y_new, f, f_new, dense
+        t, y, f = t_new, y_new, f_new
+        ya, yb, k1a, k1b = na, nb, k7a, k7b
         stats["steps"] += 1
         if err == 0.0:
             factor = _MAX_FACTOR

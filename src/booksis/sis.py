@@ -57,6 +57,7 @@ __all__ = [
     "to_canonical",
     "from_canonical",
     "sis_rhs",
+    "sis_field",
     "sis_hamiltonian",
     "sis_exact_solution",
     "sis_solution_evaluator",
@@ -64,6 +65,7 @@ __all__ = [
     "sis_constant_solution",
     "sis_constant_jet",
     "moment_rhs",
+    "moment_field",
     "moments_from_state",
     "state_from_moments",
 ]
@@ -157,13 +159,20 @@ def from_canonical(s: CanonicalState) -> EpidemicState:
 
 def sis_rhs(sys: SisSystem, t: float, s: EpidemicState) -> tuple[float, float]:
     """(dq/dt, dp/dt) = (rho0 q - b (q^2 + 1/p^2), -rho0 p + 2 b q p)."""
-    if s.p == 0.0:
-        raise SingularLocusError("p = 0 in sis_rhs", state=s)
-    r = sys.rho0(t)
-    b = sys.b(t)
+    return sis_field(sys.rho0, sys.b, t, s.q, s.p)
+
+
+def sis_field(rho0: Callable[[float], float], b: Callable[[float], float],
+              t: float, q: float, p: float) -> tuple[float, float]:
+    """:func:`sis_rhs` on plain floats, with the coefficients as callables
+    of t; p = 0 raises :class:`SingularLocusError` carrying the state."""
+    if p == 0.0:
+        raise SingularLocusError("p = 0 in sis_rhs", state=EpidemicState(q, p))
+    r = rho0(t)
+    bt = b(t)
     return (
-        r * s.q - b * (s.q * s.q + 1.0 / (s.p * s.p)),
-        -r * s.p + 2.0 * b * s.q * s.p,
+        r * q - bt * (q * q + 1.0 / (p * p)),
+        -r * p + 2.0 * bt * q * p,
     )
 
 
@@ -296,11 +305,18 @@ def moment_rhs(rho0: float, s: MomentState) -> tuple[float, float]:
     is therefore accepted even though the logarithmic form is not
     defined there.  A non-positive mean raises :class:`MomentDomainError`.
     """
-    if s.mean <= 0.0:
-        raise MomentDomainError(f"mean must be positive, got {s.mean!r}")
+    return moment_field(rho0, s.mean, s.variance)
+
+
+def moment_field(rho0: float, mean: float, variance: float) -> tuple[float, float]:
+    """:func:`moment_rhs` on plain floats.  The variance is not checked:
+    the cleared form is regular for any sign of it, so an integrator's
+    trial state just below zero variance is a state like any other."""
+    if mean <= 0.0:
+        raise MomentDomainError(f"mean must be positive, got {mean!r}")
     return (
-        s.mean * (rho0 - s.mean) - s.variance,
-        2.0 * s.variance * (rho0 - 2.0 * s.mean),
+        mean * (rho0 - mean) - variance,
+        2.0 * variance * (rho0 - 2.0 * mean),
     )
 
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from booksis import oracle, sis
-from booksis.canonical import BookIntegrals, IntegrationConstants
+from booksis import canonical, deformed, oracle, sis
+from booksis.canonical import BookIntegrals, CanonicalState, IntegrationConstants
 from booksis.cli import (
     _oracle_config,
     _residual,
@@ -30,7 +30,16 @@ from booksis.cli import (
     run_scenario,
     Scenario,
 )
-from booksis.errors import BooksisError, NonFiniteSampleError, ScenarioError
+from booksis.errors import (
+    BooksisError,
+    EvaluationDomainError,
+    MomentDomainError,
+    NonFiniteSampleError,
+    ScenarioError,
+    SingularLocusError,
+)
+from booksis.sis import EpidemicState, MomentState
+from booksis.timefn import CoefficientFunction
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -366,6 +375,127 @@ class TestResidual:
         }))
         with pytest.raises(NonFiniteSampleError, match="non-finite trial state"):
             adapter.rhs(0.5, (bad, 1.0))
+
+
+def _outcome(call):
+    """A right-hand side's value by float.hex, or its error's type, message
+    and attached state."""
+    try:
+        a, b = call()
+    except BooksisError as exc:
+        return type(exc), str(exc), getattr(exc, "state", None)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    return a.hex(), b.hex()
+
+
+_LN = CoefficientFunction.from_text("ln(2.5 - t)")  # a domain error past t = 2.5
+_ONE = CoefficientFunction.constant(1.0)
+
+
+class TestModelFields:
+    """Each model's right-hand side is one formula: the float field that
+    ``Model.rhs`` calls equals the object-level function bit for bit, in
+    its values and in its errors."""
+
+    # the dilation coefficients fail past t = 2.5 with a domain error
+    DOCS = {
+        "book-canonical": ({"bA": "ln(2.5 - t)", "bB": "0.5 + 0.3*sin(t)"}, "xy",
+                           [0.4, 0.8], 0.0),
+        "sis": ({"rho0": "ln(2.5 - t)", "b": "1 + 0.2*cos(t)"}, "qp", [2.0 / 3.0, 3.0], 0.0),
+        "sis-constant": ({"rho0": "1.5"}, "qp", [2.0 / 3.0, 3.0], 0.0),
+        "moments": ({"rho0": "1.5"}, "moments", [2.0 / 3.0, 1.0 / 9.0], 0.0),
+        "deformed-book": ({"bA": "ln(2.5 - t)", "bB": "0.5"}, "xy", [0.4, 0.8], 0.1),
+        "deformed-sis": ({"rho0": "ln(2.5 - t)", "b": "1"}, "qp", [2.0 / 3.0, 3.0], 0.05),
+    }
+    OBJECT_RHS = {
+        "book-canonical": lambda m, t, u, v: canonical.rhs(m.system, t, CanonicalState(u, v)),
+        "sis": lambda m, t, u, v: sis.sis_rhs(m.system, t, EpidemicState(u, v)),
+        "sis-constant": lambda m, t, u, v: sis.sis_rhs(m.system, t, EpidemicState(u, v)),
+        "moments": lambda m, t, u, v: sis.moment_rhs(m.rate, MomentState(u, v)),
+        "deformed-book": lambda m, t, u, v: deformed.deformed_rhs(
+            m.system, t, CanonicalState(u, v)),
+        "deformed-sis": lambda m, t, u, v: deformed.deformed_sis_rhs(
+            m.system, t, EpidemicState(u, v)),
+    }
+    # p = 0, a zero or negative mean, the singular locus, overflow
+    COMPONENT = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-200, 1e200, 800.0]),
+    )
+
+    @pytest.mark.parametrize("model", list(DOCS))
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.one_of(st.floats(0.0, 3.0), st.just(2.5)), u=COMPONENT, v=COMPONENT)
+    def test_field_equals_the_object_level_rhs(self, model, t, u, v):
+        if model == "moments":
+            assume(v >= 0.0)  # MomentState holds no negative variance
+        coefficients, chart, values, z = self.DOCS[model]
+        adapter = build_adapter(parse_scenario({
+            "model": model, "coefficients": coefficients, "z": z,
+            "initial": {"chart": chart, "values": values},
+            "grid": {"t_start": 0.0, "t_end": 1.5, "n_samples": 7},
+        }))
+        assert _outcome(lambda: adapter.rhs(t, (u, v))) == \
+            _outcome(lambda: self.OBJECT_RHS[model](adapter, t, u, v))
+
+    @pytest.mark.parametrize("call, error, state", [
+        (lambda: sis.sis_field(_ONE, _ONE, 0.0, 0.5, 0.0),
+         SingularLocusError, EpidemicState(0.5, 0.0)),
+        (lambda: deformed.deformed_sis_field(_ONE, _ONE, 0.1, 0.0, 1.0, 1.0),
+         SingularLocusError, EpidemicState(1.0, 1.0)),
+        (lambda: sis.moment_field(1.0, 0.0, 0.1), MomentDomainError, None),
+        (lambda: sis.moment_field(1.0, -2.0, 0.1), MomentDomainError, None),
+        (lambda: canonical.book_field(_LN, _ONE, 3.0, 1.0, 1.0), EvaluationDomainError, None),
+        (lambda: sis.sis_field(_LN, _ONE, 3.0, 0.5, 3.0), EvaluationDomainError, None),
+        (lambda: deformed.deformed_field(_LN, _ONE, 0.1, 3.0, 1.0, 1.0),
+         EvaluationDomainError, None),
+        (lambda: deformed.deformed_sis_field(_LN, _ONE, 0.1, 3.0, 0.5, 3.0),
+         EvaluationDomainError, None),
+    ])
+    def test_fields_raise_typed_errors(self, call, error, state):
+        with pytest.raises(error) as info:
+            call()
+        assert getattr(info.value, "state", None) == state
+
+
+class TestRunIsTyped:
+    def test_moments_trial_state_below_zero_variance(self, tmp_path):
+        # a trial stage of the oracle reaches a variance of -9.3e-15; the
+        # cleared moment equations hold there, so the run passes
+        path = write_scenario(
+            tmp_path, model="moments", coefficients={"rho0": "5"},
+            initial={"chart": "moments", "values": [0.5, 0.01]},
+            grid={"t_start": 0.0, "t_end": 5.0, "n_samples": 11})
+        _, metadata, code = run_scenario(path)
+        assert code == EXIT_PASS
+        assert metadata["max_deviation"] <= 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["moments", "sis-constant", "sis"]),
+        rho0=st.sampled_from([-2.0, -0.5, 0.5, 1.0, 5.0]),
+        b=st.sampled_from([0.5, 1.0, 2.0]),
+        first=st.sampled_from([0.01, 0.5, 2.0, 10.0, 50.0]),
+        second=st.sampled_from([1e-12, 1e-6, 0.01, 1.0, 100.0]),
+        t_end=st.sampled_from([1.0, 5.0]),
+    )
+    def test_moments_and_sis_starts_fail_typed(self, model, rho0, b, first, second, t_end):
+        # any start either runs or raises a typed error, never another one
+        if model == "sis":
+            coefficients = {"rho0": repr(rho0), "b": repr(b)}
+        else:
+            coefficients = {"rho0": repr(rho0)}
+        chart = "moments" if model == "moments" else "qp"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_scenario(
+                Path(tmp), model=model, coefficients=coefficients,
+                initial={"chart": chart, "values": [first, second]},
+                grid={"t_start": 0.0, "t_end": t_end, "n_samples": 11})
+            try:
+                run_scenario(path)
+            except BooksisError:
+                pass
 
 
 class TestCompare:

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from booksis import oracle as oracle_module
 from booksis.canonical import BookSystem, CanonicalState, rhs
 from booksis.deformed import DeformedBookSystem, deformed_rhs
-from booksis.errors import BooksisError, StepLimitError, StepSizeUnderflowError
+from booksis.errors import (
+    BooksisError,
+    NonFiniteSampleError,
+    StepLimitError,
+    StepSizeUnderflowError,
+)
 from booksis.oracle import IntegratorConfig, OdeProblem, integrate_ode
 from booksis.sis import EpidemicState, SisSystem, sis_rhs
 from booksis.timefn import CoefficientFunction as CF
@@ -479,33 +484,95 @@ class TestBitPin:
         assert self.EXPECTED["nan_trap", "adaptive"]["stats"]["rejected"] > 0
 
 
-# every float class the stage sums can meet: signed zeros, subnormals,
-# infinities and NaN as well as ordinary values
-_ANY_FLOAT = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, math.inf, -math.inf,
-                     math.nan]),
-)
-_PAIR = st.tuples(_ANY_FLOAT, _ANY_FLOAT)
-
-
 def _hex(values):
-    return [float.hex(v) for v in values]
+    """Floats, and nested tuples and lists of them, by float.hex."""
+    if values is None:
+        return None
+    if isinstance(values, float):
+        return values.hex()
+    return [_hex(v) for v in values]
+
+
+def _steps(stepper, problem, config):
+    """Every step ``stepper`` yields by float.hex, its stats and the error
+    it raised (type, message and last_time)."""
+    stats = {"steps": 0, "rejected": 0, "rhs_evals": 0}
+    steps, error = [], None
+    try:
+        for step in stepper(problem, config, stats):
+            steps.append(_hex(step))
+    except (BooksisError, ValueError) as exc:
+        error = (type(exc).__name__, str(exc), getattr(exc, "last_time", None))
+    return steps, stats, error
+
+
+# (trap mode, what the rhs does inside the trap window)
+_TRAPS = {
+    "none": None,
+    "inf": lambda f: (f[0], math.inf),
+    "nan": lambda f: (math.nan, f[1]),
+    "overflow": OverflowError("trap"),
+    "domain": NonFiniteSampleError("trap"),
+    "value": ValueError("trap"),
+    "short": lambda f: (f[0],),
+    "long": lambda f: (*f, 0.0),
+}
+
+
+@st.composite
+def _pair_problems(draw):
+    """A linear or logistic two-component system, with a trap window in
+    which the rhs raises or returns a non-finite value or the wrong
+    dimension, returned as a tuple, a list or a numpy array."""
+    coefficient = st.floats(-4.0, 4.0)
+    a, b, c, d, g = (draw(coefficient) for _ in range(5))
+    logistic = draw(st.booleans())
+    trap = _TRAPS[draw(st.sampled_from(list(_TRAPS)))]
+    lo = draw(st.floats(0.0, 3.0))
+    hi = lo + draw(st.floats(0.0, 0.5))
+    wrap = draw(st.sampled_from([tuple, list, np.array]))
+
+    def field(t, y):
+        u, v = y
+        if logistic:
+            f = (a * u * (1.0 - u) + b * v, c * v * (1.0 - v) - d * u + g * math.sin(t))
+        else:
+            f = (a * u + b * v + g * math.cos(t), c * u + d * v)
+        if trap is not None and lo <= t <= hi:
+            if isinstance(trap, Exception):
+                raise trap
+            f = trap(f)
+        return wrap(f)
+
+    state0 = (draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
+    problem = OdeProblem(rhs=field, t0=0.0, state0=state0,
+                         t_end=draw(st.floats(0.0, 4.0)))
+    config = IntegratorConfig(
+        rtol=draw(st.floats(1e-12, 1e-3)), atol=draw(st.floats(1e-14, 1e-3)),
+        max_step=draw(st.one_of(st.just(math.inf), st.floats(0.01, 2.0))),
+        max_steps=300)
+    return problem, config
 
 
 @settings(max_examples=200, deadline=None)
-@given(y=_PAIR, h=_ANY_FLOAT, k=st.lists(_PAIR, min_size=7, max_size=7))
-def test_two_component_stage_sums_match_the_general_loop(y, h, k):
-    # the unrolled two-component path adds the same terms in the same
-    # order as the loop that serves every other dimension
-    rows = [*oracle_module._DP_A_TERMS, oracle_module._DP_B5_TERMS,
-            oracle_module._DP_ERR_TERMS]
-    for terms in rows:
-        assert _hex(oracle_module._combine(y, h, terms, k)) == \
-            _hex(oracle_module._combine_loop(y, h, terms, k))
-    fast = oracle_module._dense_coefficients(h, k)
-    loop = oracle_module._dense_coefficients_loop(h, k)
-    assert [_hex(row) for row in fast] == [_hex(row) for row in loop]
+@given(_pair_problems())
+def test_two_component_stepper_matches_the_general_loop(case):
+    # the straight-line stepper takes the general loop's steps with the
+    # same bits: every yielded state, derivative and continuous-extension
+    # coefficient, the stats, and any error it raises
+    problem, config = case
+    assert _steps(oracle_module._integrate_pair, problem, config) == \
+        _steps(oracle_module._integrate_adaptive, problem, config)
+
+
+def test_two_component_states_take_the_straight_line_stepper(monkeypatch):
+    taken = []
+    pair = oracle_module._integrate_pair
+    monkeypatch.setattr(oracle_module, "_integrate_pair",
+                        lambda *args: taken.append(1) or pair(*args))
+    integrate_ode(oscillator_problem(1.0), IntegratorConfig(), [1.0])
+    integrate_ode(exponential_problem(), IntegratorConfig(), [1.0])
+    assert taken == [1]
 
 
 def test_oracle_imports_only_errors_from_the_package():
