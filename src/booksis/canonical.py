@@ -220,7 +220,7 @@ _BISECTION_TOL = 1e-10  # resolution of the window edge
 _LN2 = math.log(2.0)
 # pieces end on a + k * _CHUNK, or on a later asked time for z c1 <= 0, or
 # halve a chunk
-_CHUNK = 0.5
+_CHUNK = 2.0
 # pieces one extension (or one completion's splits) may build before it
 # gives up with QuadratureConvergenceError
 _PIECE_BUDGET = 100_000
@@ -238,7 +238,8 @@ def _samples(f: Callable[[float], float], nodes: list[float]) -> list[float]:
     """``f`` at every node, one call each.  A :class:`CoefficientFunction`
     checks its own values; a plain callable's are checked for finiteness
     here."""
-    return _finite([f(t) for t in nodes], nodes)
+    values = [f(t) for t in nodes]
+    return values if isinstance(f, CoefficientFunction) else _finite(values, nodes)
 
 
 def _finite(values: list[float], nodes: list[float]) -> list[float]:
@@ -288,13 +289,20 @@ class BookIntegrals:
     integrand e^Gamma b_b, so no integral is nested in another.  A piece
     is split when a series does not converge (see
     :mod:`booksis.quadrature`): the truncation error of each piece's
-    integral stays below its half of ``tol``, or at round-off; no piece
-    is split below 1e-10 of its time.  At the ends of the pieces the
-    values are cumulative sums of the pieces' integrals; inside a piece
-    they are Clenshaw sums.  The pieces grow forwards from ``a``: a time
-    before it, or one that is not finite, raises ``ValueError``.
+    integral stays below its half of ``tol``, or at round-off.  It is
+    split too when its samples of b_a (for Theta) or b_b (for I) miss a
+    feature between them: where the coefficient's interval enclosure
+    (:meth:`~booksis.timefn.CoefficientFunction.enclose`) leaves the hull
+    of the samples by more than a quarter of the largest one (see
+    :func:`_resolved`).  That test, not the density of the nodes, keeps a
+    narrow lobe from passing unseen, so a piece is as wide as its series
+    converges: the grid is 2 wide.  No piece is split below 1e-10 of its
+    time.  At the ends of the pieces the values are cumulative sums of the
+    pieces' integrals; inside a piece they are Clenshaw sums.  The pieces
+    grow forwards from ``a``: a time before it, or one that is not finite,
+    raises ``ValueError``.
 
-    For z c1 > 0 a piece ends on the next grid point a + k/2, so the values
+    For z c1 > 0 a piece ends on the next grid point a + 2k, so the values
     depend only on t.  For z c1 <= 0 it ends on the later of that grid
     point and the time asked for: a cold query at t = 3, the classical
     forms' common case, is one piece, and a sweep builds one piece per
@@ -422,7 +430,7 @@ class BookIntegrals:
                 hi = self._retreat(lo, hi, t, "Theta", error)
                 continue
             fit = chebyshev_fit(b_a, 0.5 * (hi - lo), self._tol)
-            if fit is None:
+            if fit is None or not _resolved(self.b_a, b_a, nodes, lo, hi, self._tol):
                 hi = _midpoint(lo, hi, "Theta", error)
                 continue
             theta = self._values[_THETA]
@@ -474,16 +482,20 @@ class BookIntegrals:
         lo, hi = self._ends[j], self._ends[j + 1]
         if self._past_edge(max(piece.theta)):  # the piece holds the window edge
             return _midpoint(lo, hi, "I", ValidityWindowError(t, t))
-        exponent = [self._gamma(v) for v in piece.theta]
+        exponent = (piece.theta if self.z_c1 == 0.0
+                    else [self._gamma(v) for v in piece.theta])
         # a failure at or before t leaves I(t) undefined
         past = bisect.bisect_right(nodes, t)
-        integrand = self._forced_integrand(exponent[:past], nodes[:past])
-        try:
-            integrand += self._forced_integrand(exponent[past:], nodes[past:])
-        except BooksisError as exc:
-            return self._retreat(lo, hi, t, "I", exc)
+        integrand, b_b = self._forced_integrand(exponent[:past], nodes[:past])
+        if past < len(nodes):
+            try:
+                rest = self._forced_integrand(exponent[past:], nodes[past:])
+            except BooksisError as exc:
+                return self._retreat(lo, hi, t, "I", exc)
+            integrand += rest[0]
+            b_b += rest[1]
         fit = chebyshev_fit(integrand, 0.5 * (hi - lo), self._tol)
-        if fit is None:
+        if fit is None or not _resolved(self.b_b, b_b, nodes, lo, hi, self._tol):
             return _midpoint(lo, hi, "I")
         piece.fits[_FORCED] = fit
         forced = self._values[_FORCED]
@@ -492,10 +504,12 @@ class BookIntegrals:
         return None
 
     def _forced_integrand(self, exponent: list[float],
-                          nodes: list[float]) -> list[float]:
-        """I's integrand e^Gamma b_b at ``nodes``, checked finite."""
+                          nodes: list[float]) -> tuple[list[float], list[float]]:
+        """I's integrand e^Gamma b_b at ``nodes``, checked finite, and the
+        samples of b_b."""
         growth = _exp_nodes(exponent, nodes, "forced integral")
-        return _finite([g * b for g, b in zip(growth, _samples(self.b_b, nodes))], nodes)
+        b_b = _samples(self.b_b, nodes)
+        return _finite([g * b for g, b in zip(growth, b_b)], nodes), b_b
 
     def _retreat(self, lo: float, hi: float, t: float, integral: str,
                  error: BooksisError) -> float:
@@ -544,6 +558,61 @@ class BookIntegrals:
             else:
                 lo = mid
         return 0.5 * (lo + hi)
+
+
+def _resolved(f, samples: list[float], nodes: list[float], lo: float, hi: float,
+              tol: float) -> bool:
+    """Whether the samples of ``f`` at the Chebyshev ``nodes`` of the piece
+    [lo, hi] show all of ``f`` there: its interval enclosure stays within
+    a slack of the hull of the samples.  The slack is a quarter of the
+    largest sample, or the height tol / (hi - lo) that moves the piece's
+    integral by ``tol``, if larger.  The whole piece is tested first; only
+    where that fails are its halves tested, down to the single gaps
+    between neighbouring nodes, each against the hull of its own samples,
+    and each end gap against the sample at its node.  A gap that fails,
+    or has no enclosure, fails the piece, except an end gap without one:
+    there ``f`` leaves its domain at the piece's end, which the series'
+    convergence answers for, as at a time asked for on a domain end.  A
+    coefficient that is not a :class:`CoefficientFunction` has no
+    enclosure to test, and passes."""
+    if not isinstance(f, CoefficientFunction):
+        return True
+    box = f.enclose(lo, hi)
+    if box is not None:
+        # the hull and slack of the first and last samples lie inside the
+        # full ones, so a box that passes them passes; most pieces' boxes
+        # do, and need no pass over the samples
+        first, last = samples[0], samples[-1]
+        low, high = (first, last) if first <= last else (last, first)
+        slack = max(0.25 * max(high, -low), tol / (hi - lo))
+        if low - slack <= box[0] and box[1] <= high + slack:
+            return True
+    low, high = min(samples), max(samples)
+    slack = max(0.25 * max(high, -low), tol / (hi - lo))
+    if box is not None and low - slack <= box[0] and box[1] <= high + slack:
+        return True
+    points = [lo, *nodes, hi]
+    values = [samples[0], *samples, samples[-1]]
+    return _gaps_resolved(f, points, values, 0, len(points) - 1, slack)
+
+
+def _gaps_resolved(f: CoefficientFunction, points: list[float], values: list[float],
+                   i: int, j: int, slack: float) -> bool:
+    """Whether both halves of the gaps between points i and j pass
+    :func:`_resolved`'s test, each halved again where it fails."""
+    m = (i + j) // 2
+    for first, last in ((i, m), (m, j)):
+        box = f.enclose(points[first], points[last])
+        if box is None:
+            if last - first == 1 and (first == 0 or last == len(points) - 1):
+                continue
+        else:
+            window = values[first:last + 1]
+            if min(window) - slack <= box[0] and box[1] <= max(window) + slack:
+                continue
+        if last - first == 1 or not _gaps_resolved(f, points, values, first, last, slack):
+            return False
+    return True
 
 
 def _midpoint(lo: float, hi: float, integral: str, error=None) -> float:

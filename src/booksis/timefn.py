@@ -7,8 +7,11 @@ the constructors for the builtin families (constant, linear, sinusoidal),
 which are plain trees too.  Each tree is compiled once, at
 construction, into nested closures of a float ``t``; ``f(t)`` is the
 only evaluation path, so every ``sin``, ``cos``, ``exp``, ``ln`` and
-``^`` comes from :mod:`math`.  Evaluation is pure and deterministic; values are
-immutable and safe to share across threads.
+``^`` comes from :mod:`math`.  ``f.enclose(lo, hi)`` bounds the values over a
+box of ``t`` by interval arithmetic on the same tree, compiled into a
+second set of closures on its first call; the integral kernel tests its
+pieces with it for features between their samples.  Evaluation is pure
+and deterministic; values are immutable and safe to share across threads.
 
 Expression grammar (whitespace insignificant)::
 
@@ -429,6 +432,248 @@ def _compile_call(node: Call) -> Callable[[float], float]:
     return ln
 
 
+# --- interval enclosures ----------------------------------------------------
+
+# An enclosure closure takes a box [lo, hi] of t and returns (low, high),
+# bounds of the node's values there, or raises _Unbounded (or the
+# ValueError, ZeroDivisionError or OverflowError of a math call) where it
+# has none.  The bounds are formed in plain float arithmetic, without
+# outward rounding.
+
+class _Unbounded(Exception):
+    """A node without an enclosure on the box: outside its domain, or with
+    a bound that is not finite."""
+
+
+_INF = math.inf
+# beyond this argument size a trig box is taken as [-1, 1], where the
+# rounding of the peak positions could miss one
+_TRIG_REACH = 2.0 ** 26
+
+
+def _bounded(low: float, high: float) -> tuple[float, float]:
+    """(low, high) when both are finite; NaN fails too."""
+    if -_INF < low and high < _INF:
+        return low, high
+    raise _Unbounded
+
+
+def _enclosure(node: ExpressionAst):
+    """The enclosure closure of ``node`` (see above)."""
+    if isinstance(node, Literal):
+        box = (node.value, node.value)
+        return lambda lo, hi: box
+    if isinstance(node, TimeVar):
+        return lambda lo, hi: (lo, hi)
+    if isinstance(node, Neg):
+        operand = _enclosure(node.operand)
+
+        def negate(lo, hi):
+            low, high = operand(lo, hi)
+            return -high, -low
+        return negate
+    if isinstance(node, BinOp):
+        return _enclosure_binop(node)
+    if isinstance(node, Call) and node.name in FUNCTION_NAMES:
+        return _enclosure_call(node)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _enclosure_binop(node: BinOp):
+    left, right, op = node.left, node.right, node.op
+    # c*t + d and a + b*x, the shapes the builtin families are made of,
+    # are one closure each, as in _compile_binop
+    if op == "+" and isinstance(left, Literal) and _is_scaled(right):
+        a, b, g = left.value, right.left.value, _enclosure(right.right)
+
+        def shifted(lo, hi):
+            low, high = g(lo, hi)
+            if b < 0.0:
+                low, high = high, low
+            return _bounded(a + b * low, a + b * high)
+        return shifted
+    if (op == "+" and _is_scaled(left) and isinstance(left.right, TimeVar)
+            and isinstance(right, Literal)):
+        c, d = left.left.value, right.value
+
+        def line(lo, hi):
+            if c < 0.0:
+                lo, hi = hi, lo
+            low, high = c * lo + d, c * hi + d
+            if -_INF < low and high < _INF:
+                return low, high
+            raise _Unbounded
+        return line
+    if op == "^" and isinstance(right, Literal) and right.value.is_integer():
+        return _integer_power(_enclosure(left), right.value)
+    if op != "^" and (isinstance(left, Literal) or isinstance(right, Literal)):
+        return _literal_operand(node)
+    f, g = _enclosure(left), _enclosure(right)
+    if op == "+":
+        def add(lo, hi):
+            l1, h1 = f(lo, hi)
+            l2, h2 = g(lo, hi)
+            return _bounded(l1 + l2, h1 + h2)
+        return add
+    if op == "-":
+        def subtract(lo, hi):
+            l1, h1 = f(lo, hi)
+            l2, h2 = g(lo, hi)
+            return _bounded(l1 - h2, h1 - l2)
+        return subtract
+    if op == "*":
+        def multiply(lo, hi):
+            l1, h1 = f(lo, hi)
+            l2, h2 = g(lo, hi)
+            corners = (l1 * l2, l1 * h2, h1 * l2, h1 * h2)
+            return _bounded(min(corners), max(corners))
+        return multiply
+    if op == "/":
+        def divide(lo, hi):
+            l1, h1 = f(lo, hi)
+            l2, h2 = g(lo, hi)
+            if l2 <= 0.0 <= h2:
+                raise _Unbounded
+            corners = (l1 / l2, l1 / h2, h1 / l2, h1 / h2)
+            return _bounded(min(corners), max(corners))
+        return divide
+
+    def power(lo, hi):
+        # x^y = e^(y ln x) for x >= 0: y ln x is bilinear on the box, so
+        # the extremes lie on its corners (math.pow takes the limits at 0)
+        l1, h1 = f(lo, hi)
+        if l1 < 0.0:
+            raise _Unbounded
+        l2, h2 = g(lo, hi)
+        pow_ = math.pow
+        corners = (pow_(l1, l2), pow_(l1, h2), pow_(h1, l2), pow_(h1, h2))
+        return _bounded(min(corners), max(corners))
+    return power
+
+
+def _literal_operand(node: BinOp):
+    """``+ - * /`` with a literal operand: monotone in the other one."""
+    op = node.op
+    if isinstance(node.left, Literal):
+        a, g = node.left.value, _enclosure(node.right)
+        if op == "+":
+            def add(lo, hi):
+                low, high = g(lo, hi)
+                return _bounded(a + low, a + high)
+            return add
+        if op == "-":
+            def subtract(lo, hi):
+                low, high = g(lo, hi)
+                return _bounded(a - high, a - low)
+            return subtract
+        if op == "*":
+            def scale(lo, hi):
+                low, high = g(lo, hi)
+                if a < 0.0:
+                    low, high = high, low
+                return _bounded(a * low, a * high)
+            return scale
+
+        def reciprocal(lo, hi):
+            low, high = g(lo, hi)
+            if low <= 0.0 <= high:
+                raise _Unbounded
+            return _bounded(a / high, a / low) if a >= 0.0 else _bounded(a / low, a / high)
+        return reciprocal
+    f, b = _enclosure(node.left), node.right.value
+    if op == "+":
+        def add(lo, hi):
+            low, high = f(lo, hi)
+            return _bounded(low + b, high + b)
+        return add
+    if op == "-":
+        def subtract(lo, hi):
+            low, high = f(lo, hi)
+            return _bounded(low - b, high - b)
+        return subtract
+    if op == "*":
+        def scale(lo, hi):
+            low, high = f(lo, hi)
+            if b < 0.0:
+                low, high = high, low
+            return _bounded(low * b, high * b)
+        return scale
+
+    def divide(lo, hi):
+        if b == 0.0:
+            raise _Unbounded
+        low, high = f(lo, hi)
+        if b < 0.0:
+            low, high = high, low
+        return _bounded(low / b, high / b)
+    return divide
+
+
+def _integer_power(base, n: float):
+    """The enclosure of base^n for a literal integer n, for a base box of
+    any sign: monotone on the box unless it straddles 0, where an even
+    power has its minimum 0 and a negative one no bound."""
+    even = n % 2.0 == 0.0
+
+    def power(lo, hi):
+        low, high = base(lo, hi)
+        a, b = math.pow(low, n), math.pow(high, n)
+        if low < 0.0 < high:
+            if n < 0.0:
+                raise _Unbounded
+            if even:
+                return 0.0, max(a, b)
+        return (a, b) if a <= b else (b, a)
+    return power
+
+
+def _enclosure_call(node: Call):
+    name = node.name
+    arg = _enclosure(node.arg)
+    if name == "sin" or name == "cos":
+        fn = math.sin if name == "sin" else math.cos
+        # fn peaks at phase + 2 pi k and bottoms out at phase + pi (2k + 1)
+        phase = 0.5 * math.pi if name == "sin" else 0.0
+
+        def trig(lo, hi):
+            low, high = arg(lo, hi)
+            if low < -_TRIG_REACH or high > _TRIG_REACH:
+                return -1.0, 1.0
+            # the extrema in the box are at the integers of [first, last]
+            first = math.ceil((low - phase) / math.pi)
+            last = math.floor((high - phase) / math.pi)
+            if last > first:
+                return -1.0, 1.0
+            a, b = fn(low), fn(high)
+            if a > b:
+                a, b = b, a
+            if last < first:
+                return a, b
+            return (a, 1.0) if first % 2 == 0 else (-1.0, b)
+        return trig
+    if name == "abs":
+        def absolute(lo, hi):
+            low, high = arg(lo, hi)
+            if low >= 0.0:
+                return low, high
+            if high <= 0.0:
+                return -high, -low
+            return 0.0, max(-low, high)
+        return absolute
+    if name == "exp":
+        def exp(lo, hi):
+            low, high = arg(lo, hi)
+            return math.exp(low), math.exp(high)
+        return exp
+
+    def ln(lo, hi):
+        low, high = arg(lo, hi)
+        if low <= 0.0:
+            raise _Unbounded
+        return math.log(low), math.log(high)
+    return ln
+
+
 # --- coefficient functions -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -439,11 +684,13 @@ class CoefficientFunction:
     Instances are callable, and that is their one evaluation path:
     ``f(t)`` evaluates the function to a finite real or raises
     :class:`EvaluationDomainError`.  The integral kernel samples a piece
-    as ``[f(t) for t in nodes]``.
+    as ``[f(t) for t in nodes]``, and bounds it between the samples with
+    :meth:`enclose`.
     """
 
     ast: ExpressionAst
     _compiled: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _enclosed: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_compiled", _compile(self.ast))
@@ -483,6 +730,31 @@ class CoefficientFunction:
         if not math.isfinite(v):
             raise EvaluationDomainError("non-finite value", t, to_text(self.ast))
         return v
+
+    def enclose(self, lo: float, hi: float) -> tuple[float, float] | None:
+        """Finite bounds (low, high) of f(t) for t in [lo, hi], or None
+        where the tree has no enclosure there.
+
+        The bounds come from interval arithmetic on the tree: ``+ - * /``
+        on the boxes' ends, ``exp`` and ``ln`` monotone, ``abs``, ``sin``
+        and ``cos`` with the extrema they take inside a box, ``^`` with a
+        literal integer exponent on a base of any sign and otherwise on a
+        base box >= 0.  A divisor box that holds 0, an ``ln`` box that
+        reaches 0, an overflow or a bound that is not finite leaves no
+        enclosure.  The arithmetic is plain floats, not rounded outwards:
+        the bounds hold to round-off, which is what a test for features
+        between samples needs, not a proof of a tolerance.  The interval
+        closures are compiled on the first call.
+        """
+        enclosed = self._enclosed
+        if enclosed is None:
+            enclosed = _enclosure(self.ast)
+            object.__setattr__(self, "_enclosed", enclosed)
+        try:
+            box = enclosed(lo, hi)
+        except (_Unbounded, ArithmeticError, ValueError):
+            return None
+        return box if -_INF < box[0] and box[1] < _INF else None
 
     # -- introspection ----------------------------------------------------
 

@@ -3,8 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from booksis.canonical import (
+    BookIntegrals,
     BookSystem,
     CanonicalState,
     IntegrationConstants,
@@ -31,6 +34,7 @@ from booksis.invariants import (
     run_check,
 )
 from booksis.oracle import IntegratorConfig, OdeProblem, integrate_ode
+from booksis.quadrature import integrate
 from booksis.timefn import CoefficientFunction as CF
 
 
@@ -200,3 +204,58 @@ class TestInvariants:
                 for s, num in zip(exact, sol.states):
                     assert abs(s.x - num[0]) <= 1e-6
                     assert abs(s.y - num[1]) <= 1e-6
+
+
+def _abs_sqrt_integral(t):
+    """int_0^t |u - 2|^0.5 du."""
+    return (2.0 / 3.0) * (2.0 ** 1.5 + math.copysign(abs(t - 2.0) ** 1.5, t - 2.0))
+
+
+class TestFeatureTest:
+    """The kernel keeps a piece only where each coefficient's interval
+    enclosure stays near the hull of its samples: a narrow lobe between the
+    nodes is found, and the coefficients it passed before integrate as
+    they did."""
+
+    @pytest.mark.parametrize("text, a, t, theta", [
+        ("(t-2)^3", 0.0, 3.0, lambda t: ((t - 2.0) ** 4 - 16.0) / 4.0),
+        ("0.1*(t-1.5)^3 + 0.2", 0.0, 3.0,
+         lambda t: 0.1 * ((t - 1.5) ** 4 - 1.5 ** 4) / 4.0 + 0.2 * t),
+        ("abs(t-2)^0.5", 0.0, 3.0, _abs_sqrt_integral),
+        ("(t+1)^-2", 0.0, 3.0, lambda t: 1.0 - 1.0 / (t + 1.0)),
+        ("1/(1+t)", 0.0, 3.0, math.log1p),
+        ("t^exp(t)", 0.5, 2.0, None),
+    ])
+    def test_coefficients_integrate_as_before(self, text, a, t, theta):
+        # b_b = 1: Theta = int b_a and I = int e^Theta, against Kronrod;
+        # I of t^exp(t) is 4.8e7, so its tolerances scale with it
+        b_a = CF.from_text(text)
+        if theta is None:
+            def theta(u):
+                return integrate(b_a, a, u, 1e-13)
+        tol = 1e-10
+        kernel = BookIntegrals(b_a, CF.constant(1.0), a, tol)
+        forced = kernel.forced(t)
+        scale = max(1.0, abs(forced))
+        assert kernel.theta(t) == pytest.approx(theta(t), rel=0.0, abs=tol)
+        assert forced == pytest.approx(
+            integrate(lambda u: math.exp(theta(u)), a, t, 1e-13 * scale), rel=0.0,
+            abs=tol * scale)
+
+    @given(st.floats(min_value=0.2, max_value=2.8),
+           st.floats(min_value=math.log(1e-4), max_value=math.log(0.2)).map(math.exp))
+    # lobes centred on the points where a failed piece is halved
+    @example(1.5, 1e-4)
+    @example(1.5004, 1e-4)
+    @example(0.75, 1e-4)
+    @example(2.25, 1.2e-4)
+    @settings(max_examples=100, deadline=None)
+    def test_narrow_lobe_is_integrated(self, c, w):
+        # a lobe as narrow as 1e-4 lies between the 32 nodes of a piece
+        # 3 wide, whose samples are exactly 0 far from it
+        amplitude = 1.0 / w
+        lobe = CF.from_text(f"{amplitude!r}*exp(-((t-{c!r})/{w!r})^2)")
+        theta = BookIntegrals(lobe, CF.constant(1.0), 0.0).theta(3.0)
+        exact = 0.5 * amplitude * w * math.sqrt(math.pi) * (
+            math.erf((3.0 - c) / w) + math.erf(c / w))
+        assert theta == pytest.approx(exact, rel=1e-9)

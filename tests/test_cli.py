@@ -822,6 +822,48 @@ class TestMainEntryPoint:
         assert code == EXIT_DOMAIN
         assert metadata["validity_t_max"] == edge
 
+    # a lobe 3e-4 wide at 1.2137, between the nodes of a piece [0, 3]; far
+    # from it its float samples are exactly 0.  Its integral is 0.9 sqrt(pi)
+    _LOBE = "3000*exp(-((t-1.2137)/0.0003)^2)"
+
+    @pytest.mark.parametrize("b_a, b_b, column, exact", [
+        (_LOBE, "0", 0, 0.4 * math.exp(0.9 * math.sqrt(math.pi))),
+        ("0", _LOBE, 1, 0.8 + 0.9 * math.sqrt(math.pi)),
+    ], ids=["rate", "source"])
+    def test_narrow_lobe_is_in_the_closed_form(self, tmp_path, b_a, b_b, column, exact):
+        # the closed form integrates the lobe (x(3) = 1.97174262694026 or
+        # y(3) = 2.395208465814964); the oracle steps over it, so run
+        # reports the deviation and exits 1 rather than 0
+        path = tmp_path / "lobe.json"
+        path.write_text(json.dumps({
+            "model": "book-canonical", "coefficients": {"bA": b_a, "bB": b_b},
+            "initial": {"chart": "xy", "values": [0.4, 0.8]},
+            "grid": {"t_start": 0.0, "t_end": 3.0, "n_samples": 61}}))
+        trajectory, metadata, code = run_scenario(path)
+        assert code == EXIT_TOLERANCE
+        assert trajectory.samples[-1].t == 3.0
+        assert trajectory.samples[-1].state[column] == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("w, edge", [(0.0005, 1.213828650542006),
+                                         (0.0003, 1.2137771903252035)])
+    def test_narrow_pulse_pair_edge(self, tmp_path, capsys, w, edge):
+        # a lobe of Theta = 0.8 = ln(1/(z c1)) and its negative 2w later:
+        # Theta touches the edge level inside the first lobe only (edges by
+        # the erf closed form).  Both are narrower than the node spacing
+        amplitude = 1.6 / (w * math.sqrt(math.pi))
+        b_a = (f"{amplitude!r}*exp(-((t-1.2137)/{w!r})^2)"
+               f" - {amplitude!r}*exp(-((t-1.2137-{2 * w!r})/{w!r})^2)")
+        path = tmp_path / "pulse.json"
+        path.write_text(json.dumps({
+            "model": "deformed-book", "coefficients": {"bA": b_a, "bB": "0"}, "z": 1.0,
+            "initial": {"chart": "xy", "values": [math.exp(-0.8), 0.8]},
+            "grid": {"t_start": 0.0, "t_end": 3.0, "n_samples": 61}}))
+        _, metadata, code = run_scenario(path)
+        assert code == EXIT_DOMAIN
+        assert metadata["validity_t_max"] == pytest.approx(edge, abs=1e-9)
+        assert main(["window", str(path)]) == EXIT_PASS
+        assert _last_number(capsys.readouterr().out) == pytest.approx(edge, abs=1e-9)
+
     @pytest.mark.parametrize("name", ["window_exit", "narrow_pulse"])
     def test_every_verb_names_one_edge(self, name, capsys):
         # window, run and each z of compare build one kernel per adapter

@@ -417,18 +417,21 @@ class TestIntegralKernel:
 
     def test_classical_sweep_builds_one_piece_per_chunk(self, monkeypatch):
         # 81 times on [0, 4] ask for 80 intervals; the pieces end on the
-        # 0.5 grid, so the sweep builds 8 and reads the rest inside them
+        # _CHUNK grid, so the sweep builds 4 / _CHUNK and reads the rest
+        # inside them
         k, calls = self.counted_kernel(monkeypatch)
         for t in np.linspace(0.0, 4.0, 81):
             k.forced(float(t))
-        assert sum(f is k.b_a for f in calls) == 8 * CHEBYSHEV_NODES
-        assert sum(f is k.b_b for f in calls) == 8 * CHEBYSHEV_NODES
+        pieces = round(4.0 / canonical._CHUNK)
+        assert sum(f is k.b_a for f in calls) == pieces * CHEBYSHEV_NODES
+        assert sum(f is k.b_b for f in calls) == pieces * CHEBYSHEV_NODES
 
     @pytest.mark.parametrize("z_c1", [0.1, -0.4])
     def test_deformed_sweep_fits_two_integrals_per_piece(self, monkeypatch, z_c1):
         # Gamma is formed from Theta, so each piece fits Theta and I only,
         # and forms Theta at its nodes once, for the window test and for I;
-        # 61 times on [0, 3] lie inside the window (0.1: t_max = 3.43)
+        # 61 times up to the last grid point by 3 lie inside the window
+        # (0.1: t_max = 3.43), and so do the chunks that hold them
         calls = {"fit": 0, "nodes": 0}
 
         def counting(key, f):
@@ -442,10 +445,11 @@ class TestIntegralKernel:
         monkeypatch.setattr(canonical, "chebyshev_at_nodes",
                             counting("nodes", canonical.chebyshev_at_nodes))
         k, samples = self.counted_kernel(monkeypatch, z_c1)
-        for t in np.linspace(0.0, 3.0, 61):
+        end = canonical._CHUNK * (3.0 // canonical._CHUNK)
+        for t in np.linspace(0.0, end, 61):
             k.forced(float(t))
         pieces = sum(f is k.b_a for f in samples) // CHEBYSHEV_NODES
-        assert pieces == 6
+        assert pieces == round(end / canonical._CHUNK)
         assert calls == {"fit": 2 * pieces, "nodes": pieces}
 
     def test_cold_classical_query_is_one_piece(self, monkeypatch):
@@ -478,8 +482,8 @@ class TestIntegralKernel:
 
     def test_window_scan_stops_sampling_near_the_edge(self):
         # b_a = 0.5 + ln(3 - t) leaves its domain at t = 3; with the window
-        # edge at t = 1 the search samples b_a at most one 0.5 chunk past
-        # the edge, far from t = 3
+        # edge at t = 1 the search samples b_a at most one chunk past the
+        # edge
         class Recording:
             def __init__(self, f):
                 self.f = f
@@ -496,7 +500,7 @@ class TestIntegralKernel:
         window = validity_window(DeformedBookSystem(BookSystem(b_a, CF.constant(1.0)), z),
                                  c1, 4.0)
         assert window.t_max == pytest.approx(1.0, abs=1e-9)
-        assert b_a.latest <= window.t_max + 0.5
+        assert b_a.latest <= window.t_max + canonical._CHUNK
 
     def test_window_scan_finds_an_edge_before_a_domain_end_in_its_chunk(self):
         # b_a = 1 - ln(1.1 - t) is undefined from t = 1.1, inside the chunk

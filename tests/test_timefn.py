@@ -194,6 +194,53 @@ class TestBuiltinFamilies:
             assert CoefficientFunction.from_text(fn.to_text()) == fn
 
 
+class TestEnclose:
+    """Interval enclosures of a coefficient over a box of t."""
+
+    @pytest.mark.parametrize("text, lo, hi, box", [
+        ("0.9 + 0.04*t", 0.0, 3.0, (0.9, 0.9 + 0.04 * 3.0)),
+        ("-2*t + 1", 0.0, 3.0, (-5.0, 1.0)),
+        ("(t-2)^3", 0.0, 3.0, (-8.0, 1.0)),           # odd power, base of both signs
+        ("(t-2)^2", 0.0, 3.0, (0.0, 4.0)),            # even power straddling 0
+        ("(t+1)^-2", 0.0, 3.0, (1.0 / 16.0, 1.0)),    # negative power, base > 0
+        ("abs(t-2)^0.5", 0.0, 3.0, (0.0, math.sqrt(2.0))),
+        ("1/(1+t)", 0.0, 3.0, (0.25, 1.0)),
+        ("t^exp(t)", 0.5, 2.0, (0.5 ** math.exp(2.0), 2.0 ** math.exp(2.0))),
+        ("sin(t)", 0.0, 2.0, (0.0, 1.0)),             # peak inside
+        ("cos(t)", 3.0, 4.0, (-1.0, math.cos(4.0))),  # trough inside
+        ("sin(t)", 0.0, 7.0, (-1.0, 1.0)),
+        ("exp(-t)", 0.0, 1.0, (math.exp(-1.0), 1.0)),
+        ("ln(t)", 1.0, 2.0, (0.0, math.log(2.0))),
+        ("-t", 1.0, 2.0, (-2.0, -1.0)),
+    ])
+    def test_bounds(self, text, lo, hi, box):
+        assert CoefficientFunction.from_text(text).enclose(lo, hi) == box
+
+    @pytest.mark.parametrize("text, lo, hi", [
+        ("1/(t-1)", 0.0, 3.0),      # a divisor box that holds 0
+        ("(t-1)^-2", 0.0, 3.0),     # a negative power of a base box that holds 0
+        ("(t-1)^0.5", 0.0, 3.0),    # a fractional power of a base below 0
+        ("t^t", -1.0, 1.0),
+        ("ln(t)", 0.0, 1.0),        # ln of a box that reaches 0
+        ("exp(1000*t)", 0.0, 1.0),  # overflow
+        ("1e308*t + 1e308", 0.0, 2.0),
+        ("1e999", 0.0, 1.0),        # a bound that is not finite
+    ])
+    def test_no_enclosure(self, text, lo, hi):
+        assert CoefficientFunction.from_text(text).enclose(lo, hi) is None
+
+    def test_compiled_on_first_use(self):
+        f = CoefficientFunction.from_text("0.5 + 0.3*sin(t)")
+        assert f._enclosed is None
+        f(1.0)
+        assert f._enclosed is None
+        assert f.enclose(0.0, 1.0) == (0.5, 0.5 + 0.3 * math.sin(1.0))
+        assert f._enclosed is not None
+        # the interval closures are not part of the value
+        assert f == CoefficientFunction.from_text("0.5 + 0.3*sin(t)")
+        assert pickle.loads(pickle.dumps(f)) == f
+
+
 # --- property tests -----------------------------------------------------------
 
 _literals = st.floats(
@@ -298,3 +345,25 @@ def _outcome(fn, t):
 def test_compiled_matches_reference(tree, t):
     compiled = CoefficientFunction(tree)
     assert _outcome(compiled, t) == _outcome(lambda t: _reference(tree, t), t)
+
+
+@given(_asts, st.floats(min_value=-1e3, max_value=1e3), st.floats(min_value=0.0, max_value=1e3),
+       st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8))
+@example(BinOp("^", BinOp("-", TimeVar(), Literal(2.0)), Literal(3.0)), 0.0, 3.0, [0.0, 0.5, 1.0])
+@example(BinOp("^", TimeVar(), Literal(-2.0)), -1.0, 2.0, [0.5])
+@example(Call("sin", TimeVar()), 1.0, 1.0, [0.5])
+@example(Call("cos", BinOp("*", Literal(1e5), TimeVar())), 0.0, 1e-4, [0.0, 0.3, 1.0])
+@settings(max_examples=500, deadline=None)
+def test_enclosure_holds_every_value(tree, lo, width, fractions):
+    # every value in the box lies in its enclosure, or the tree has none
+    # there, or the value is a domain error.  The bounds are plain floats,
+    # monotone in their operands as rounding is, so no slack is needed
+    hi = lo + width
+    box = CoefficientFunction(tree).enclose(lo, hi)
+    if box is None:
+        return
+    for u in fractions:
+        t = min(lo + u * width, hi)
+        outcome = _outcome(CoefficientFunction(tree), t)
+        if outcome != "domain error":
+            assert box[0] <= float.fromhex(outcome) <= box[1]
