@@ -499,15 +499,10 @@ def _enclosure_binop(node: BinOp):
         def line(lo, hi):
             if c < 0.0:
                 lo, hi = hi, lo
-            low, high = c * lo + d, c * hi + d
-            if -_INF < low and high < _INF:
-                return low, high
-            raise _Unbounded
+            return _bounded(c * lo + d, c * hi + d)
         return line
     if op == "^" and isinstance(right, Literal) and right.value.is_integer():
         return _integer_power(_enclosure(left), right.value)
-    if op != "^" and (isinstance(left, Literal) or isinstance(right, Literal)):
-        return _literal_operand(node)
     f, g = _enclosure(left), _enclosure(right)
     if op == "+":
         def add(lo, hi):
@@ -549,64 +544,6 @@ def _enclosure_binop(node: BinOp):
         corners = (pow_(l1, l2), pow_(l1, h2), pow_(h1, l2), pow_(h1, h2))
         return _bounded(min(corners), max(corners))
     return power
-
-
-def _literal_operand(node: BinOp):
-    """``+ - * /`` with a literal operand: monotone in the other one."""
-    op = node.op
-    if isinstance(node.left, Literal):
-        a, g = node.left.value, _enclosure(node.right)
-        if op == "+":
-            def add(lo, hi):
-                low, high = g(lo, hi)
-                return _bounded(a + low, a + high)
-            return add
-        if op == "-":
-            def subtract(lo, hi):
-                low, high = g(lo, hi)
-                return _bounded(a - high, a - low)
-            return subtract
-        if op == "*":
-            def scale(lo, hi):
-                low, high = g(lo, hi)
-                if a < 0.0:
-                    low, high = high, low
-                return _bounded(a * low, a * high)
-            return scale
-
-        def reciprocal(lo, hi):
-            low, high = g(lo, hi)
-            if low <= 0.0 <= high:
-                raise _Unbounded
-            return _bounded(a / high, a / low) if a >= 0.0 else _bounded(a / low, a / high)
-        return reciprocal
-    f, b = _enclosure(node.left), node.right.value
-    if op == "+":
-        def add(lo, hi):
-            low, high = f(lo, hi)
-            return _bounded(low + b, high + b)
-        return add
-    if op == "-":
-        def subtract(lo, hi):
-            low, high = f(lo, hi)
-            return _bounded(low - b, high - b)
-        return subtract
-    if op == "*":
-        def scale(lo, hi):
-            low, high = f(lo, hi)
-            if b < 0.0:
-                low, high = high, low
-            return _bounded(low * b, high * b)
-        return scale
-
-    def divide(lo, hi):
-        if b == 0.0:
-            raise _Unbounded
-        low, high = f(lo, hi)
-        if b < 0.0:
-            low, high = high, low
-        return _bounded(low / b, high / b)
-    return divide
 
 
 def _integer_power(base, n: float):
